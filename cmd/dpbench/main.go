@@ -8,11 +8,11 @@
 //	dpbench -quick                     # CI smoke (~50ms per benchmark)
 //
 // The report records baseline and fast ns/op, the speedup, and the fast
-// path's allocs/op for each kind. Baselines are the interface-typed
-// single-processor engines (dtw.Sequential, matchain.DP,
-// nonserial.Eliminate, matrix.ChainVec) — the same references the
-// differential checker diffs bitwise, so the speedups are for
-// identical answers.
+// path's allocs/op for each kind with a fast path (dtw, chain,
+// nonserial). Baselines are the interface-typed single-processor
+// engines (dtw.Sequential, matchain.DP, nonserial.Eliminate) — the same
+// references the differential checker diffs bitwise, so the speedups
+// are for identical answers.
 package main
 
 import (
@@ -23,12 +23,9 @@ import (
 	"os"
 	"testing"
 
-	"systolicdp/internal/align"
 	"systolicdp/internal/dtw"
 	"systolicdp/internal/matchain"
-	"systolicdp/internal/matrix"
 	"systolicdp/internal/nonserial"
-	"systolicdp/internal/semiring"
 )
 
 type kindReport struct {
@@ -110,72 +107,6 @@ func main() {
 		},
 		func() { _, _ = dtw.SolveFast(x, y, nil) })
 
-	// DTW batch: 8 same-shape 128-point pairs through one sweep.
-	pairs := make([]dtw.Pair, 8)
-	for i := range pairs {
-		pairs[i] = dtw.Pair{X: series(128), Y: series(128)}
-	}
-	dists := make([]float64, len(pairs))
-	add("dtw-batch", "8x128x128",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := dtw.SweepBatch(pairs, dtw.AbsDist); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dtw.SweepBatchFastInto(dists, pairs, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func() { _, _ = dtw.SweepBatchFastInto(dists, pairs, nil) })
-
-	// Affine-gap alignment single solve: 256×256 lattice, three layers.
-	ap := align.Params{Open: 3, Ext: 1}
-	ax, ay := series(256), series(256)
-	add("align", "256x256",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := align.Sequential(ax, ay, ap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := align.SolveFast(ax, ay, ap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func() { _, _ = align.SolveFast(ax, ay, ap) })
-
-	// Alignment batch: 8 same-shape 128-point pairs, one stacked lattice.
-	apairs := make([]align.Pair, 8)
-	for i := range apairs {
-		apairs[i] = align.Pair{X: series(128), Y: series(128)}
-	}
-	acosts := make([]float64, len(apairs))
-	add("align-batch", "8x128x128",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := align.SweepBatch(apairs, ap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := align.SweepBatchFastInto(acosts, apairs, ap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func() { _, _ = align.SweepBatchFastInto(acosts, apairs, ap) })
-
 	// Chain ordering: 24-matrix product.
 	dims := make([]int, 25)
 	for i := range dims {
@@ -221,27 +152,6 @@ func main() {
 			}
 		},
 		func() { _, _, _ = nonserial.EliminateFast(ch) })
-
-	// Graph stream decomposition: min-plus product of five 32×32 stages.
-	ms := make([]*matrix.Matrix, 5)
-	for i := range ms {
-		ms[i] = matrix.Random(rng, 32, 32, -5, 5)
-	}
-	v := series(32)
-	dst := make([]float64, ms[0].Rows)
-	mp := semiring.MinPlus{}
-	add("graph-stream", "5x32x32",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.ChainVec(mp, ms, v)
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matrix.ChainVecInto(mp, dst, ms, v)
-			}
-		},
-		func() { matrix.ChainVecInto(mp, dst, ms, v) })
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {

@@ -19,10 +19,11 @@
 //
 // With -compare-batch it instead runs the identical mixed-kind workload
 // with micro-batching off (BatchMax 1: every kind solves one-at-a-time on
-// the general pool) and then on (same-shape concurrent requests share one
-// kernel sweep), with the result cache disabled in both phases, and
-// reports per-kind goodput plus per-kind flush occupancy — the experiment
-// behind the EXPERIMENTS.md batching table:
+// the general pool) and then on (same-shape concurrent Design-1 graphs
+// share one streamed array run; the other kinds stay on the pool), with
+// the result cache disabled in both phases, and reports per-kind goodput
+// plus per-kernel flush occupancy — the experiment behind the
+// EXPERIMENTS.md batching table:
 //
 //	dpload -duration 10s -compare-batch -keys 64 -out BENCH_8.json
 //
@@ -294,8 +295,7 @@ type RunReport struct {
 
 	// Batching observability, scraped from the target's /metrics after
 	// the window (in-process runs only): flush count and mean instances
-	// per flush, keyed by execution-path kind (graph-stream, dtw-batch,
-	// chain-batch, nonserial-batch).
+	// per flush, keyed by batch kernel kind (graph-stream).
 	BatchFlushes       map[string]float64 `json:"batch_flushes,omitempty"`
 	BatchOccupancyMean map[string]float64 `json:"batch_occupancy_mean,omitempty"`
 

@@ -178,12 +178,13 @@ func TestDploadScalingSmoke(t *testing.T) {
 
 // Batching comparison end to end: two phases (batch-off, batch-on) over
 // the identical keyed mixed-kind workload, per-kind goodput tallied, and
-// nonzero batch occupancy scraped for the batched kinds in the ON phase.
+// nonzero batch occupancy scraped for the Design-1 stream, the one
+// batched kind, in the ON phase.
 func TestDploadCompareBatchSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	cfg, err := parseFlags([]string{
 		"-duration", "1500ms", "-rps", "120", "-conc", "16",
-		"-mix", "chain,dtw", "-keys", "48", "-compare-batch",
+		"-mix", "graph,chain,dtw", "-keys", "48", "-compare-batch",
 		"-timeout", "2s", "-out", out,
 	})
 	if err != nil {
@@ -219,7 +220,7 @@ func TestDploadCompareBatchSmoke(t *testing.T) {
 		if rr.CacheHits != 0 {
 			t.Errorf("%s: cache hits with the cache disabled: %+v", rr.Name, rr)
 		}
-		for _, kind := range []string{"chain", "dtw"} {
+		for _, kind := range []string{"graph", "chain", "dtw"} {
 			if rr.OKByKind[kind] == 0 {
 				t.Errorf("%s: no per-kind goodput recorded for %s: %v", rr.Name, kind, rr.OKByKind)
 			}
@@ -229,14 +230,18 @@ func TestDploadCompareBatchSmoke(t *testing.T) {
 	if len(off.BatchFlushes) != 0 {
 		t.Errorf("batch-off phase recorded flushes: %v", off.BatchFlushes)
 	}
-	// The ON phase must show both batched kinds flowing through kernels.
-	for _, kind := range []string{"chain-batch", "dtw-batch"} {
-		if off.BatchOccupancyMean[kind] != 0 {
-			t.Errorf("batch-off shows %s occupancy", kind)
-		}
-		if on.BatchFlushes[kind] == 0 || on.BatchOccupancyMean[kind] < 1 {
-			t.Errorf("batch-on phase: %s flushes=%v occupancy=%v, want >=1",
-				kind, on.BatchFlushes[kind], on.BatchOccupancyMean[kind])
+	// The ON phase must show Design-1 graphs flowing through the stream
+	// kernel, and only them: every other kind solves on the pool.
+	if off.BatchOccupancyMean["graph-stream"] != 0 {
+		t.Error("batch-off shows graph-stream occupancy")
+	}
+	if on.BatchFlushes["graph-stream"] == 0 || on.BatchOccupancyMean["graph-stream"] < 1 {
+		t.Errorf("batch-on phase: graph-stream flushes=%v occupancy=%v, want >=1",
+			on.BatchFlushes["graph-stream"], on.BatchOccupancyMean["graph-stream"])
+	}
+	for kind := range on.BatchFlushes {
+		if kind != "graph-stream" {
+			t.Errorf("batch-on phase: flushes recorded for %s, which has no batch kernel", kind)
 		}
 	}
 }

@@ -89,29 +89,6 @@ func TestEmptySeries(t *testing.T) {
 	if got, _ := Sequential(y, nil, p); got != 3+3*2 {
 		t.Fatalf("align(y, empty) = %v, want %v", got, 3+3*2)
 	}
-	if got, _ := SolveFast(nil, y, p); got != 3+3*2 {
-		t.Fatalf("SolveFast(empty, y) = %v, want %v", got, 3+3*2)
-	}
-}
-
-func TestFastBitwiseIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		x := randSeries(rng, rng.Intn(20))
-		y := randSeries(rng, rng.Intn(20))
-		p := Params{Open: float64(rng.Intn(6)), Ext: float64(rng.Intn(4))}
-		want, err := Sequential(x, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveFast(x, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d |x|=%d |y|=%d: fast %v != sequential %v", trial, len(x), len(y), got, want)
-		}
-	}
 }
 
 func TestSymmetry(t *testing.T) {
@@ -128,79 +105,11 @@ func TestSymmetry(t *testing.T) {
 	}
 }
 
-func TestSweepBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, b := range []int{1, 2, 7} {
-		n, m := rng.Intn(10), rng.Intn(10)
-		p := Params{Open: 2, Ext: 1}
-		pairs := make([]Pair, b)
-		want := make([]float64, b)
-		for i := range pairs {
-			pairs[i] = Pair{X: randSeries(rng, n), Y: randSeries(rng, m)}
-			w, err := Sequential(pairs[i].X, pairs[i].Y, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = w
-		}
-		got, cycles, err := SweepBatch(pairs, p)
-		if err != nil {
-			t.Fatalf("b=%d: %v", b, err)
-		}
-		if wantCyc := b*(n+1) + m; cycles != wantCyc {
-			t.Fatalf("b=%d: cycles %d, want %d", b, cycles, wantCyc)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("b=%d i=%d: batch %v != sequential %v", b, i, got[i], want[i])
-			}
-		}
-		fast, fcyc, err := SweepBatchFast(pairs, p)
-		if err != nil {
-			t.Fatalf("b=%d fast: %v", b, err)
-		}
-		if fcyc != cycles {
-			t.Fatalf("b=%d: fast cycles %d != %d", b, fcyc, cycles)
-		}
-		for i := range want {
-			if fast[i] != want[i] {
-				t.Fatalf("b=%d i=%d: fast batch %v != sequential %v", b, i, fast[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSweepBatchShapeMismatch(t *testing.T) {
-	pairs := []Pair{{X: []float64{1}, Y: []float64{1, 2}}, {X: []float64{1, 2}, Y: []float64{1, 2}}}
-	if _, _, err := SweepBatch(pairs, Params{}); err == nil {
-		t.Fatal("mixed-shape batch accepted")
-	}
-}
-
 func TestBadParams(t *testing.T) {
 	if _, err := Sequential(nil, nil, Params{Open: -1}); err == nil {
 		t.Fatal("negative open accepted")
 	}
-	if _, err := SolveFast(nil, nil, Params{Ext: math.NaN()}); err == nil {
+	if _, err := Sequential(nil, nil, Params{Ext: math.NaN()}); err == nil {
 		t.Fatal("NaN ext accepted")
-	}
-}
-
-func TestSolveFastSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts randomly under the race detector")
-	}
-	x, y := randSeries(rand.New(rand.NewSource(1)), 64), randSeries(rand.New(rand.NewSource(2)), 64)
-	p := Params{Open: 2, Ext: 1}
-	if _, err := SolveFast(x, y, p); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := SolveFast(x, y, p); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SolveFast allocates %v per op in steady state, want 0", allocs)
 	}
 }

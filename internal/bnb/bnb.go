@@ -235,11 +235,16 @@ func solveParallel(g *multistage.Graph, opt Options) (*Result, error) {
 				}
 				nd := heap.Pop(&q).(*node)
 				if nd.f >= res.Cost {
-					// Everything remaining is at least as bad.
-					finished = true
-					cond.Broadcast()
+					// Everything queued is at least as bad, so drop it. The
+					// search is over only once no worker is still expanding:
+					// a busy worker's children can lie on a cheaper path.
+					q = q[:0]
+					if busy == 0 {
+						finished = true
+						cond.Broadcast()
+					}
 					mu.Unlock()
-					return
+					continue
 				}
 				if nd.stage == n-1 {
 					if nd.gcost < res.Cost {

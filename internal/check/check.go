@@ -236,14 +236,12 @@ func (c *checker) checkGraph(workers []int) {
 	ms, v := mats[:k-1], mats[k-1].Col(0)
 	ref := matrix.ChainVec(s, ms, v)
 	c.cmpScalar("result", "seq-baseline vs chain-vec", base.Cost, semiring.Fold(s, ref))
-	c.checkGraphFast(s, ms, v, ref)
 
 	m := len(v)
 	c.checkPipearray(workers, s, srName, ms, v, ref, g)
 	c.checkBcastarray(workers, s, srName, ms, v, ref)
 	if srName == "min-plus" {
 		c.checkStream(ms, v, ref, g, base.Cost, workers)
-		c.checkStreamFast(g, base.Cost)
 		if !hasNonFinite(g) {
 			c.checkSpecRoundTrip(g, base.Cost)
 		}
@@ -677,7 +675,6 @@ func (c *checker) checkDTW() {
 		c.cmpScalar("result", "dtw(x,y) vs dtw(y,x) symmetry", seq, sym)
 	}
 	c.checkDTWFast(seq)
-	c.checkDTWBatch()
 }
 
 // checkChain cross-checks the chain-ordering DP against the concurrent
@@ -728,7 +725,6 @@ func (c *checker) checkChain(workers []int) {
 		}
 	}
 	c.checkChainFast(tab)
-	c.checkChainBatch()
 }
 
 // checkNonserial cross-checks direct elimination of the ternary chain
@@ -757,7 +753,6 @@ func (c *checker) checkNonserial(workers []int) {
 	}
 	c.cmpInt("invariant", "ns-eliminate steps vs eq(40)", steps, ch.StepsEq40())
 	c.checkNonserialFast(ch, name, elim, steps)
-	c.checkNonserialBatch(ch)
 	total := 1
 	for _, d := range ch.Domains {
 		total *= len(d)

@@ -6,19 +6,14 @@ package check
 // last ulp is a mismatch, not noise. Each per-kind check below is
 // invoked from the corresponding reference check in check.go, so every
 // generated instance (including the degenerate shapes the generator
-// emits) exercises the fast path at several tile sizes and batch
-// widths.
+// emits) exercises the fast path, at several tile sizes for DTW.
 
 import (
 	"fmt"
 
-	"systolicdp/internal/core"
 	"systolicdp/internal/dtw"
 	"systolicdp/internal/matchain"
-	"systolicdp/internal/matrix"
-	"systolicdp/internal/multistage"
 	"systolicdp/internal/nonserial"
-	"systolicdp/internal/semiring"
 )
 
 // fastTiles are the tile edges the differential checker sweeps: every
@@ -27,8 +22,7 @@ import (
 var fastTiles = []int{1, 7, dtw.DefaultTile, 1 << 20}
 
 // checkDTWFast diffs the tiled monomorphized solver against the
-// sequential recurrence at every tile size, and the monomorphized batch
-// sweep against the reference batch sweep.
+// sequential recurrence at every tile size.
 func (c *checker) checkDTWFast(seq float64) {
 	x, y := c.inst.File.X, c.inst.File.Y
 	fast, err := dtw.SolveFast(x, y, dtw.AbsDist)
@@ -53,35 +47,10 @@ func (c *checker) checkDTWFast(seq float64) {
 		}
 		c.cmpScalar("result", fmt.Sprintf("dtw-sequential vs dtw-tiled-T%d", T), seq, got)
 	}
-	for _, b := range batchSizes {
-		pairs := make([]dtw.Pair, b)
-		for i := range pairs {
-			vx := make([]float64, len(x))
-			for j := range x {
-				vx[j] = x[(j+i)%len(x)]
-			}
-			pairs[i] = dtw.Pair{X: vx, Y: y}
-		}
-		want, wantCyc, err := dtw.SweepBatch(pairs, dtw.AbsDist)
-		if err != nil {
-			c.addf("result", "dtw-batch-fast-baseline", "b=%d: %v", b, err)
-			return
-		}
-		got, cyc, err := dtw.SweepBatchFast(pairs, nil)
-		if err != nil {
-			c.addf("result", "dtw-batch-fast", "b=%d: %v", b, err)
-			return
-		}
-		for i := range want {
-			c.cmpScalar("result", fmt.Sprintf("dtw-batch vs dtw-batch-fast[b=%d,i=%d]", b, i), want[i], got[i])
-		}
-		c.cmpInt("cycles", fmt.Sprintf("dtw-batch vs dtw-batch-fast[b=%d]", b), wantCyc, cyc)
-	}
 }
 
 // checkChainFast diffs the flat pooled chain-ordering DP — cost AND
-// parenthesization — against the table DP, plus the monomorphized batch
-// wavefront against the reference one.
+// parenthesization — against the table DP.
 func (c *checker) checkChainFast(tab *matchain.Table) {
 	dims := c.inst.File.Dims
 	cost, paren, err := matchain.SolveFast(dims)
@@ -94,41 +63,11 @@ func (c *checker) checkChainFast(tab *matchain.Table) {
 	if want := tab.Parenthesization(); paren != want {
 		c.addf("result", "chain-dp vs chain-fast", "parenthesization %q != %q", paren, want)
 	}
-	for _, b := range batchSizes {
-		dimsList := make([][]int, b)
-		for i := range dimsList {
-			v := make([]int, len(dims))
-			for j := range dims {
-				v[j] = dims[(j+i)%len(dims)]
-			}
-			dimsList[i] = v
-		}
-		tabs, wantCyc, err := matchain.WavefrontBatch(dimsList)
-		if err != nil {
-			c.addf("result", "chain-batch-fast-baseline", "b=%d: %v", b, err)
-			return
-		}
-		costs, parens, cyc, err := matchain.WavefrontBatchFast(dimsList)
-		if err != nil {
-			c.addf("result", "chain-batch-fast", "b=%d: %v", b, err)
-			return
-		}
-		for i := range tabs {
-			c.cmpScalar("result", fmt.Sprintf("chain-batch vs chain-batch-fast[b=%d,i=%d]", b, i),
-				tabs[i].OptimalCost(), costs[i])
-			c.combos++
-			if want := tabs[i].Parenthesization(); parens[i] != want {
-				c.addf("result", fmt.Sprintf("chain-batch vs chain-batch-fast[b=%d,i=%d]", b, i),
-					"parenthesization %q != %q", parens[i], want)
-			}
-		}
-		c.cmpInt("cycles", fmt.Sprintf("chain-batch vs chain-batch-fast[b=%d]", b), wantCyc, cyc)
-	}
 }
 
 // checkNonserialFast diffs pooled monomorphized elimination against the
 // reference, with GName set so named cost functions take their
-// inlinable op path, and the batch variant against EliminateBatch.
+// inlinable op path.
 func (c *checker) checkNonserialFast(ch *nonserial.Chain3, name string, elim float64, steps int) {
 	named := &nonserial.Chain3{Domains: ch.Domains, G: ch.G, GName: name}
 	cost, fsteps, err := nonserial.EliminateFast(named)
@@ -146,58 +85,4 @@ func (c *checker) checkNonserialFast(ch *nonserial.Chain3, name string, elim flo
 	}
 	c.cmpScalar("result", "ns-eliminate vs ns-fast-func", elim, anon)
 	c.cmpInt("invariant", "ns-eliminate vs ns-fast-func steps", steps, asteps)
-	for _, b := range batchSizes {
-		chains := make([]*nonserial.Chain3, b)
-		for i := range chains {
-			doms := make([][]float64, len(ch.Domains))
-			for d, vals := range ch.Domains {
-				doms[d] = make([]float64, len(vals))
-				for j, v := range vals {
-					doms[d][j] = v + float64(i)
-				}
-			}
-			chains[i] = &nonserial.Chain3{Domains: doms, G: ch.G, GName: name}
-		}
-		want, wantSteps, err := nonserial.EliminateBatch(chains)
-		if err != nil {
-			c.addf("result", "ns-batch-fast-baseline", "b=%d: %v", b, err)
-			return
-		}
-		got, gotSteps, err := nonserial.EliminateBatchFast(chains)
-		if err != nil {
-			c.addf("result", "ns-batch-fast", "b=%d: %v", b, err)
-			return
-		}
-		for i := range want {
-			c.cmpScalar("result", fmt.Sprintf("ns-batch vs ns-batch-fast[b=%d,i=%d]", b, i), want[i], got[i])
-		}
-		c.cmpInt("invariant", fmt.Sprintf("ns-batch vs ns-batch-fast[b=%d] steps", b), wantSteps, gotSteps)
-	}
-}
-
-// checkGraphFast diffs the monomorphized chain product against the
-// interface-typed ChainVec for the instance's comparative semiring.
-func (c *checker) checkGraphFast(s semiring.Comparative, ms []*matrix.Matrix, v, ref []float64) {
-	var got []float64
-	switch sr := s.(type) {
-	case semiring.MinPlus:
-		got = matrix.ChainVecG(sr, ms, v)
-	case semiring.MaxPlus:
-		got = matrix.ChainVecG(sr, ms, v)
-	default:
-		return
-	}
-	c.cmpVec("result", fmt.Sprintf("chain-vec vs chain-vec-fast (%s)", s.Name()), ref, got)
-}
-
-// checkStreamFast diffs the direct library solve (monomorphized chain
-// product over the stream decomposition) against the sequential
-// baseline — min-plus only, like the stream it bypasses.
-func (c *checker) checkStreamFast(g *multistage.Graph, baseCost float64) {
-	sol, err := core.SolveGraphDirect(g)
-	if err != nil {
-		c.addf("result", "graph-direct", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "seq-baseline vs graph-direct", baseCost, sol.Cost)
 }

@@ -5,8 +5,7 @@ package check
 // engine diffed against it BITWISE (integer-valued generated weights
 // make all sums exact), the kind's metamorphic invariant (alignment
 // symmetry, Viterbi path-cost re-derivation, knapsack prefix
-// monotonicity), batch kernels at every width including order
-// invariance, and the full spec round-trip through core.Solve.
+// monotonicity), and the full spec round-trip through core.Solve.
 
 import (
 	"fmt"
@@ -22,8 +21,7 @@ import (
 )
 
 // checkAlign cross-checks the affine-gap lattice: the rolling-row
-// reference, the pooled anti-diagonal fast path, the stacked-lattice
-// batch sweeps, the symmetry invariant Cost(x,y) == Cost(y,x), and the
+// reference, the symmetry invariant Cost(x,y) == Cost(y,x), and the
 // serving wire path.
 func (c *checker) checkAlign() {
 	x, y := c.inst.File.X, c.inst.File.Y
@@ -33,88 +31,12 @@ func (c *checker) checkAlign() {
 		c.addf("result", "align-sequential", "%v", err)
 		return
 	}
-	fast, err := align.SolveFast(x, y, p)
-	if err != nil {
-		c.addf("result", "align-fast", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "align-sequential vs align-fast", seq, fast)
-	// Pooled-workspace reuse: the second solve draws the arena buffers the
-	// first one returned and must be bit-identical.
-	fast2, err := align.SolveFast(x, y, p)
-	if err != nil {
-		c.addf("result", "align-fast-rerun", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "align-fast vs align-fast-rerun", fast, fast2)
 	// |a-b| substitution makes the lattice symmetric.
 	sym, err := align.Sequential(y, x, p)
 	if err == nil {
 		c.cmpScalar("result", "align(x,y) vs align(y,x) symmetry", seq, sym)
 	}
-	c.checkAlignBatch(p)
 	c.checkAlignRoundTrip(seq)
-}
-
-func (c *checker) checkAlignBatch(p align.Params) {
-	x, y := c.inst.File.X, c.inst.File.Y
-	// Same-shape variants: rotate x so instances differ in values while
-	// sharing the lattice shape AND gap penalties the kernel buckets on.
-	variant := func(i int) align.Pair {
-		vx := make([]float64, len(x))
-		for j := range x {
-			vx[j] = x[(j+i)%len(x)]
-		}
-		return align.Pair{X: vx, Y: y}
-	}
-	for _, b := range batchSizes {
-		pairs := make([]align.Pair, b)
-		want := make([]float64, b)
-		for i := range pairs {
-			pairs[i] = variant(i)
-			seq, err := align.Sequential(pairs[i].X, pairs[i].Y, p)
-			if err != nil {
-				c.addf("result", "align-batch-baseline", "b=%d i=%d: %v", b, i, err)
-				return
-			}
-			want[i] = seq
-		}
-		costs, cycles, err := align.SweepBatch(pairs, p)
-		if err != nil {
-			c.addf("result", "align-batch", "b=%d: %v", b, err)
-			return
-		}
-		for i := range costs {
-			c.cmpScalar("result", fmt.Sprintf("align-sequential vs align-batch[b=%d,i=%d]", b, i),
-				want[i], costs[i])
-		}
-		c.cmpInt("cycles", fmt.Sprintf("align-batch[b=%d] wall cycles vs B*(n+1)+m", b),
-			cycles, b*(len(x)+1)+len(y))
-		fcosts, fcyc, err := align.SweepBatchFast(pairs, p)
-		if err != nil {
-			c.addf("result", "align-batch-fast", "b=%d: %v", b, err)
-			return
-		}
-		for i := range fcosts {
-			c.cmpScalar("result", fmt.Sprintf("align-batch vs align-batch-fast[b=%d,i=%d]", b, i),
-				costs[i], fcosts[i])
-		}
-		c.cmpInt("cycles", fmt.Sprintf("align-batch vs align-batch-fast[b=%d]", b), cycles, fcyc)
-		// Order invariance: reversing the batch permutes outputs only.
-		rev := make([]align.Pair, b)
-		for i := range rev {
-			rev[i] = pairs[b-1-i]
-		}
-		rcosts, _, err := align.SweepBatch(rev, p)
-		if err != nil {
-			c.addf("result", "align-batch-reversed", "b=%d: %v", b, err)
-			return
-		}
-		for i := range rcosts {
-			c.cmpScalar("result", fmt.Sprintf("align-batch order invariance [b=%d,i=%d]", b, i),
-				costs[b-1-i], rcosts[i])
-		}
-	}
 }
 
 func (c *checker) checkAlignRoundTrip(seq float64) {

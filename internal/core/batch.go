@@ -6,11 +6,8 @@ import (
 	"strings"
 
 	"systolicdp/internal/dtw"
-	"systolicdp/internal/matchain"
-	"systolicdp/internal/matrix"
 	papermetrics "systolicdp/internal/metrics"
 	"systolicdp/internal/multistage"
-	"systolicdp/internal/nonserial"
 	"systolicdp/internal/pipearray"
 	"systolicdp/internal/semiring"
 )
@@ -100,28 +97,6 @@ func StreamProblemFromGraph(g *multistage.Graph) (pipearray.StreamProblem, error
 	return sp, nil
 }
 
-// SolveGraphDirect solves one single-sink multistage graph on the
-// monomorphized min-plus chain product (matrix.ChainVecG) — the library
-// and benchmark fast path, bitwise identical to the ChainVec baseline
-// and therefore to the Design-1 engines the checker pins against it. The
-// serving path intentionally keeps the streamed engine
-// (SolveGraphBatchParallel): its cycle counts and measured PU feed the
-// observability plane, which the direct product cannot produce.
-func SolveGraphDirect(g *multistage.Graph) (*Solution, error) {
-	sp, err := StreamProblemFromGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	mp := semiring.MinPlus{}
-	out := matrix.ChainVecG(mp, sp.Ms, sp.V)
-	class := Class{Monadic, Serial}
-	return &Solution{
-		Class:  class,
-		Method: Recommend(class).Method,
-		Cost:   semiring.FoldOps(mp, out),
-	}, nil
-}
-
 // SolveGraphBatch solves a batch of identically-shaped single-sink
 // multistage graphs in ONE streamed Design-1 run: all instances share a
 // single pipeline fill (B*K'*m + m - 1 cycles versus B*(K'*m + m - 1) for
@@ -133,17 +108,21 @@ func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, error) {
 	return sols, err
 }
 
-// BatchStats reports the engine-side measurements of one batch run: the
-// model wall-cycle count, the compute-phase worker count the lock-step
-// engine used after threshold gating (1 for the software wavefront
-// kernels), the measured processor utilization (the paper's PU, observed
-// through the serving path), and — where the paper has a closed form for
-// the shape — the predicted PU to chart next to the measurement.
+// BatchStats reports the engine-side measurements of one streamed
+// Design-1 batch run: the model wall-cycle count, the compute-phase
+// worker count the lock-step engine used after threshold gating, the
+// measured processor utilization (the paper's PU, observed through the
+// serving path), and the eq. (9) closed-form PU to chart next to the
+// measurement. Only the Design-1 stream is batched: it is the one array
+// whose instances share modelled work (one pipeline fill per batch).
+// The other kinds' software kernels shared nothing across a batch, and
+// their measured occupancy stayed at 1.0–1.2, so they solve one at a
+// time on the general pool.
 type BatchStats struct {
 	Cycles      int
 	Workers     int
 	Utilization float64
-	PUExpected  float64 // 0 when the kind has no closed-form prediction
+	PUExpected  float64
 }
 
 // SolveGraphBatchParallel is SolveGraphBatch with the lock-step engine's
@@ -201,10 +180,8 @@ func SolveGraphBatchParallel(gs []*multistage.Graph, parallelism, threshold int)
 // (the differential checker enforces this), and must not let one
 // instance's values affect another's.
 type BatchKernel interface {
-	// Kind names the kernel's execution path. It doubles as the admission
-	// cost-model calibration key for batched work, so it must differ from
-	// the kind EstimateCost assigns the general-pool path whenever the two
-	// paths have different service rates.
+	// Kind names the kernel's execution path: the batch-occupancy metric
+	// label and the admission cost-model calibration key for its work.
 	Kind() string
 	// Shape returns the batch-compatibility bucket for p: problems this
 	// kernel accepts with equal shape strings may share one run. ok=false
@@ -217,16 +194,11 @@ type BatchKernel interface {
 }
 
 // BatchKernels returns the kernel set in serving priority order. The
-// first kernel whose Shape accepts a problem owns it; kinds without a
-// kernel (nodevalued, matrixstring) stay on the general pool.
+// first kernel whose Shape accepts a problem owns it; every other
+// problem stays on the general pool. The set holds only the Design-1
+// stream (see BatchStats for why).
 func BatchKernels() []BatchKernel {
-	return []BatchKernel{
-		GraphStreamKernel{},
-		DTWKernel{},
-		AlignKernel{},
-		ChainKernel{},
-		NonserialKernel{},
-	}
+	return []BatchKernel{GraphStreamKernel{}}
 }
 
 // GraphStreamKernel batches Design-1 multistage graphs through the
@@ -271,165 +243,4 @@ func (GraphStreamKernel) Solve(ps []Problem, parallelism, threshold int) ([]*Sol
 		gs[i] = mp.Graph
 	}
 	return SolveGraphBatchParallel(gs, parallelism, threshold)
-}
-
-// DTWKernel batches same-shape DTW instances with one anti-diagonal
-// wavefront over the stacked lattices (dtw.SweepBatchFast).
-type DTWKernel struct{}
-
-// Kind names the batched DTW path.
-func (DTWKernel) Kind() string { return "dtw-batch" }
-
-// Shape buckets by (|x|, |y|) — the full lattice shape.
-func (DTWKernel) Shape(p Problem) (string, bool) {
-	q, ok := p.(*DTWProblem)
-	if !ok || len(q.X) == 0 || len(q.Y) == 0 {
-		return "", false
-	}
-	return fmt.Sprintf("x%d;y%d", len(q.X), len(q.Y)), true
-}
-
-// Solve sweeps the stacked lattices.
-func (DTWKernel) Solve(ps []Problem, _, _ int) ([]*Solution, *BatchStats, error) {
-	pairs := make([]dtw.Pair, len(ps))
-	for i, p := range ps {
-		q, ok := p.(*DTWProblem)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: dtw kernel got %T", p)
-		}
-		pairs[i] = dtw.Pair{X: q.X, Y: q.Y}
-	}
-	// SweepBatchFast is the monomorphized zero-allocation sweep; a nil
-	// metric selects the inlinable AbsDist op, bitwise identical to
-	// SweepBatch(pairs, dtw.AbsDist).
-	dists, cycles, err := dtw.SweepBatchFast(pairs, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, m := len(pairs[0].X), len(pairs[0].Y)
-	stats := &BatchStats{
-		Cycles:  cycles,
-		Workers: 1,
-		// Stream-model PU of m PEs over B·n+m−1 cycles doing B·n useful
-		// updates each: fill amortization pushes this toward 1 as B grows.
-		Utilization: float64(len(ps)*n) / float64(cycles),
-	}
-	class := Class{Monadic, Serial}
-	sols := make([]*Solution, len(ps))
-	for i, d := range dists {
-		sols[i] = &Solution{Class: class, Method: Recommend(class).Method, Cost: d}
-	}
-	_ = m
-	return sols, stats, nil
-}
-
-// ChainKernel batches same-length matrix-chain ordering instances with
-// one shared diagonal wavefront (matchain.WavefrontBatchFast).
-type ChainKernel struct{}
-
-// Kind names the batched chain path.
-func (ChainKernel) Kind() string { return "chain-batch" }
-
-// Shape buckets by chain length.
-func (ChainKernel) Shape(p Problem) (string, bool) {
-	q, ok := p.(*ChainOrderingProblem)
-	if !ok || len(q.Dims) < 2 {
-		return "", false
-	}
-	return fmt.Sprintf("n%d", len(q.Dims)-1), true
-}
-
-// Solve fills the stacked tables wave by wave.
-func (ChainKernel) Solve(ps []Problem, _, _ int) ([]*Solution, *BatchStats, error) {
-	dimsList := make([][]int, len(ps))
-	for i, p := range ps {
-		q, ok := p.(*ChainOrderingProblem)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: chain kernel got %T", p)
-		}
-		dimsList[i] = q.Dims
-	}
-	// WavefrontBatchFast runs the flat zero-allocation kernel on a pooled
-	// table, bitwise identical per instance to WavefrontBatch/DP.
-	costs, parens, cycles, err := matchain.WavefrontBatchFast(dimsList)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(dimsList[0]) - 1
-	stats := &BatchStats{
-		Cycles:  cycles,
-		Workers: 1,
-		// Proposition-3 stream model: B·(n−1) useful waves out of
-		// B·(n−1)+(n−1) ripple cycles, → B/(B+1).
-		Utilization: float64(len(ps)) / float64(len(ps)+1),
-	}
-	if n < 2 {
-		stats.Utilization = 1
-	}
-	class := Class{Polyadic, Nonserial}
-	sols := make([]*Solution, len(ps))
-	for i := range ps {
-		sols[i] = &Solution{
-			Class:    class,
-			Method:   Recommend(class).Method,
-			Cost:     costs[i],
-			Ordering: parens[i],
-		}
-	}
-	return sols, stats, nil
-}
-
-// NonserialKernel batches same-profile ternary chains through lockstep
-// variable elimination (nonserial.EliminateBatchFast).
-type NonserialKernel struct{}
-
-// Kind names the batched elimination path.
-func (NonserialKernel) Kind() string { return "nonserial-batch" }
-
-// Shape buckets by the full domain-size profile.
-func (NonserialKernel) Shape(p Problem) (string, bool) {
-	q, ok := p.(*NonserialChainProblem)
-	if !ok || q.Chain == nil || q.Chain.Validate() != nil {
-		return "", false
-	}
-	var b strings.Builder
-	b.WriteString("d")
-	for i, d := range q.Chain.Domains {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", len(d))
-	}
-	return b.String(), true
-}
-
-// Solve eliminates all chains in lockstep.
-func (NonserialKernel) Solve(ps []Problem, _, _ int) ([]*Solution, *BatchStats, error) {
-	chains := make([]*nonserial.Chain3, len(ps))
-	for i, p := range ps {
-		q, ok := p.(*NonserialChainProblem)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: nonserial kernel got %T", p)
-		}
-		chains[i] = q.Chain
-	}
-	// EliminateBatchFast monomorphizes the ternary cost (via Chain3.GName)
-	// and reuses pooled flat tables, bitwise identical to EliminateBatch.
-	costs, steps, err := nonserial.EliminateBatchFast(chains)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &BatchStats{
-		Cycles:  steps,
-		Workers: 1,
-		// Elimination has no pipeline fill: every step is a useful table
-		// update, so the sweep itself runs at full utilization.
-		Utilization: 1,
-	}
-	class := Class{Monadic, Nonserial}
-	sols := make([]*Solution, len(ps))
-	for i, c := range costs {
-		sols[i] = &Solution{Class: class, Method: Recommend(class).Method, Cost: c}
-	}
-	return sols, stats, nil
 }

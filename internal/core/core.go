@@ -194,7 +194,8 @@ func (p *ChainOrderingProblem) Describe() string {
 }
 
 // NonserialChainProblem is the monadic-nonserial tri-variable chain of
-// equation (36), solved by grouping variables into a serial problem.
+// equation (36), solved by eliminating its variables one by one
+// (equations (37)-(39)).
 type NonserialChainProblem struct {
 	Chain *nonserial.Chain3
 }
@@ -271,26 +272,14 @@ func Solve(p Problem) (*Solution, error) {
 		sol.Cost = cost
 		sol.Ordering = paren
 	case *NonserialChainProblem:
-		if err := q.Chain.Validate(); err != nil {
+		// Pooled monomorphized elimination (equations (37)-(39)), bitwise
+		// identical to Eliminate and to the grouped Design-3 array the
+		// differential checker pins it against.
+		cost, _, err := nonserial.EliminateFast(q.Chain)
+		if err != nil {
 			return nil, err
 		}
-		if q.Chain.UniformDomains() {
-			nv, err := q.Chain.GroupToSerial()
-			if err != nil {
-				return nil, err
-			}
-			res, err := fbarray.Solve(nv)
-			if err != nil {
-				return nil, err
-			}
-			sol.Cost = res.Cost
-		} else {
-			g, err := q.Chain.GroupToGraph()
-			if err != nil {
-				return nil, err
-			}
-			sol.Cost = multistage.SolveOptimal(mp, g).Cost
-		}
+		sol.Cost = cost
 	case *DTWProblem:
 		res, err := solveDTW(q)
 		if err != nil {

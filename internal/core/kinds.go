@@ -30,8 +30,7 @@ func (p *AlignProblem) Describe() string {
 }
 
 func solveAlign(p *AlignProblem) (*Solution, error) {
-	// Pooled anti-diagonal kernel, bitwise identical to align.Sequential.
-	c, err := align.SolveFast(p.X, p.Y, p.Params)
+	c, err := align.Sequential(p.X, p.Y, p.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -107,60 +106,4 @@ func solveKnapsack(p *KnapsackProblem) (*Solution, error) {
 		return nil, err
 	}
 	return &Solution{Class: p.Classify(), Method: Recommend(p.Classify()).Method, Cost: c}, nil
-}
-
-// AlignKernel batches same-shape, same-penalty alignment instances with
-// one anti-diagonal wavefront over the stacked three-layer lattices
-// (align.SweepBatchFast) — the alignment twin of DTWKernel.
-type AlignKernel struct{}
-
-// Kind names the batched alignment path.
-func (AlignKernel) Kind() string { return "align-batch" }
-
-// Shape buckets by (|x|, |y|) AND the gap penalties: instances in one
-// sweep share the folded Open+Ext constant, so co-batching different
-// penalties would change results. Empty series are batchable — the
-// empty row/column is part of every lattice.
-func (AlignKernel) Shape(p Problem) (string, bool) {
-	q, ok := p.(*AlignProblem)
-	if !ok || q.Params.Validate() != nil {
-		return "", false
-	}
-	return fmt.Sprintf("x%d;y%d;o%g;e%g", len(q.X), len(q.Y), q.Params.Open, q.Params.Ext), true
-}
-
-// Solve sweeps the stacked lattices.
-func (AlignKernel) Solve(ps []Problem, _, _ int) ([]*Solution, *BatchStats, error) {
-	pairs := make([]align.Pair, len(ps))
-	var params align.Params
-	for i, p := range ps {
-		q, ok := p.(*AlignProblem)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: align kernel got %T", p)
-		}
-		if i == 0 {
-			params = q.Params
-		} else if q.Params != params {
-			return nil, nil, fmt.Errorf("core: align kernel got mixed gap penalties %+v vs %+v", q.Params, params)
-		}
-		pairs[i] = align.Pair{X: q.X, Y: q.Y}
-	}
-	costs, cycles, err := align.SweepBatchFast(pairs, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(pairs[0].X)
-	stats := &BatchStats{
-		Cycles:  cycles,
-		Workers: 1,
-		// Stream model: m+1 PEs over B·(n+1)+m cycles doing B·(n+1) useful
-		// row injections each; fill amortization pushes this toward 1.
-		Utilization: float64(len(ps)*(n+1)) / float64(cycles),
-	}
-	class := Class{Monadic, Serial}
-	sols := make([]*Solution, len(ps))
-	for i, c := range costs {
-		sols[i] = &Solution{Class: class, Method: Recommend(class).Method, Cost: c}
-	}
-	return sols, stats, nil
 }

@@ -297,106 +297,3 @@ func dtwTile[M Metric](x, y []float64, met M, T, I, J int, hb, vb, buf []float64
 		prev2, prev, cur = prev, cur, prev2
 	}
 }
-
-// SweepBatchFast solves B same-shape instances with the tiled
-// monomorphized kernel, one instance at a time on a shared pooled
-// workspace — bitwise identical per instance to Sequential and therefore
-// to SweepBatch. It validates and prices exactly like SweepBatch: the
-// returned cycle count is the same B·n + m − 1 streamed-array model (the
-// batch still occupies one logical array; only the software evaluation
-// order changed). A nil d selects the inlinable AbsDist op.
-func SweepBatchFast(pairs []Pair, d Dist) (dists []float64, cycles int, err error) {
-	dists = make([]float64, len(pairs))
-	cycles, err = SweepBatchFastInto(dists, pairs, d)
-	if err != nil {
-		return nil, 0, err
-	}
-	return dists, cycles, nil
-}
-
-// SweepBatchFastInto is SweepBatchFast writing into a caller-owned
-// result slice (len(dists) must equal len(pairs)) for allocation-free
-// steady-state batches.
-func SweepBatchFastInto(dists []float64, pairs []Pair, d Dist) (cycles int, err error) {
-	if len(pairs) == 0 {
-		return 0, fmt.Errorf("dtw: empty batch")
-	}
-	if len(dists) != len(pairs) {
-		return 0, fmt.Errorf("dtw: dists length %d != batch size %d", len(dists), len(pairs))
-	}
-	n, m := len(pairs[0].X), len(pairs[0].Y)
-	for i, p := range pairs {
-		if len(p.X) == 0 || len(p.Y) == 0 {
-			return 0, fmt.Errorf("dtw: batch instance %d has an empty series", i)
-		}
-		if len(p.X) != n || len(p.Y) != m {
-			return 0, fmt.Errorf("dtw: batch instance %d is %dx%d, batch shape is %dx%d",
-				i, len(p.X), len(p.Y), n, m)
-		}
-	}
-	key := shapeKey{n, m}
-	ws := wsPool.Get(key)
-	if d == nil {
-		sweepBatchInto(dists, pairs, AbsMetric{}, ws)
-	} else {
-		sweepBatchInto(dists, pairs, FuncMetric{d}, ws)
-	}
-	wsPool.Put(key, ws) // clean completion only
-	return len(pairs)*n + m - 1, nil
-}
-
-// sweepBatchInto is SweepBatch's shared anti-diagonal sweep with the
-// metric monomorphized and the three rolling b·n diagonal buffers drawn
-// from the pooled workspace: every cell evaluates exactly SweepBatch's
-// expression in the same order, so results are bitwise identical; only
-// the allocations and the per-cell dispatch are gone. The two boundary
-// cells of each diagonal (lattice row 0 and column 0) are peeled so the
-// interior loop — independent cells, full ILP — is branch-free.
-func sweepBatchInto[M Metric](dists []float64, pairs []Pair, met M, ws *Workspace) {
-	n, m := len(pairs[0].X), len(pairs[0].Y)
-	b := len(pairs)
-	prev2 := arena.Floats(ws.hb, b*n)
-	prev := arena.Floats(ws.vb, b*n)
-	cur := arena.Floats(ws.tiles, b*n)
-	for t := 0; t < n+m-1; t++ {
-		lo := t - m + 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := t
-		if hi > n-1 {
-			hi = n - 1
-		}
-		for q, p := range pairs {
-			base := q * n
-			cu := cur[base : base+n]
-			pv := prev[base : base+n]
-			p2 := prev2[base : base+n]
-			xs, ys := p.X, p.Y
-			ia, ib := lo, hi
-			if lo == 0 { // cell (0, t): top row, left neighbour only
-				ia = 1
-				c := met.Dist(xs[0], ys[t])
-				if t == 0 {
-					cu[0] = c
-				} else {
-					cu[0] = c + pv[0]
-				}
-			}
-			if t > 0 && t < n { // cell (t, 0): west column, up neighbour only
-				ib = t - 1
-				cu[t] = met.Dist(xs[t], ys[0]) + pv[t-1]
-			}
-			for i := ia; i <= ib; i++ {
-				c := met.Dist(xs[i], ys[t-i])
-				cu[i] = c + math.Min(pv[i-1], math.Min(pv[i], p2[i-1]))
-			}
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	// After the final rotation prev holds the last diagonal (corner cells).
-	for q := range pairs {
-		dists[q] = prev[q*n+n-1]
-	}
-	ws.hb, ws.vb, ws.tiles = prev2, prev, cur // keep the grown capacity pooled
-}

@@ -1,9 +1,18 @@
 package dtw
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+func randSeries(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.Floor(rng.Float64()*20) - 10 // integer-valued: sums stay exact
+	}
+	return s
+}
 
 // TestSolveTiledBitwiseVsSequential sweeps tile sizes (including the
 // degenerate 1×1 tiling and a single full-lattice tile) over a grid of
@@ -53,40 +62,6 @@ func TestSolveFastEmptySeries(t *testing.T) {
 	}
 }
 
-func TestSweepBatchFastMatchesSweepBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	y := randSeries(rng, 33)
-	for _, b := range []int{1, 2, 7} {
-		pairs := make([]Pair, b)
-		for i := range pairs {
-			pairs[i] = Pair{X: randSeries(rng, 21), Y: y}
-		}
-		want, wc, err := SweepBatch(pairs, AbsDist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gc, err := SweepBatchFast(pairs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gc != wc {
-			t.Fatalf("b=%d: cycles %d != %d", b, gc, wc)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("b=%d i=%d: %v != %v", b, i, got[i], want[i])
-			}
-		}
-	}
-	// Shape mismatches fail the whole batch, like SweepBatch.
-	if _, _, err := SweepBatchFast([]Pair{{X: y, Y: y}, {X: y[:5], Y: y}}, nil); err == nil {
-		t.Fatal("mismatched batch accepted")
-	}
-}
-
-// TestSolveFastZeroAllocSteadyState is the tentpole's allocation gate
-// for the DTW kernel: repeated same-shape solves on a warm per-shape
-// arena must not touch the allocator.
 func TestSolveFastZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts randomly under the race detector")
@@ -103,30 +78,6 @@ func TestSolveFastZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SolveFast allocates %v objects/op steady-state, want 0", allocs)
-	}
-}
-
-func TestSweepBatchFastIntoZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts randomly under the race detector")
-	}
-	rng := rand.New(rand.NewSource(12))
-	pairs := []Pair{
-		{X: randSeries(rng, 40), Y: randSeries(rng, 40)},
-		{X: randSeries(rng, 40)},
-	}
-	pairs[1].Y = pairs[0].Y
-	dists := make([]float64, len(pairs))
-	if _, err := SweepBatchFastInto(dists, pairs, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := SweepBatchFastInto(dists, pairs, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SweepBatchFastInto allocates %v objects/op steady-state, want 0", allocs)
 	}
 }
 

@@ -131,63 +131,3 @@ func SolveFast(dims []int) (cost float64, paren string, err error) {
 	flatPool.Put(key, f) // clean completion only (arena discipline)
 	return cost, paren, nil
 }
-
-// WavefrontBatchFast solves B same-length chains on one pooled flat
-// table and returns per-instance costs and parenthesizations. It
-// validates and prices exactly like WavefrontBatch — same error
-// messages, same streamed-wavefront cycle model B·(n−1) + (n−1) — and
-// each instance's table is bitwise identical to DP (instances are
-// independent, so the interleaving order WavefrontBatch uses and the
-// per-instance order here compute identical cells).
-func WavefrontBatchFast(dimsList [][]int) (costs []float64, parens []string, cycles int, err error) {
-	costs = make([]float64, len(dimsList))
-	parens = make([]string, len(dimsList))
-	cycles, err = WavefrontBatchFastInto(costs, parens, dimsList)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return costs, parens, cycles, nil
-}
-
-// WavefrontBatchFastInto is WavefrontBatchFast writing into caller-owned
-// slices (parens may be nil to skip rendering; len(costs) must equal the
-// batch size) for allocation-free steady-state batches.
-func WavefrontBatchFastInto(costs []float64, parens []string, dimsList [][]int) (cycles int, err error) {
-	if len(dimsList) == 0 {
-		return 0, fmt.Errorf("matchain: empty batch")
-	}
-	if len(costs) != len(dimsList) {
-		return 0, fmt.Errorf("matchain: costs length %d != batch size %d", len(costs), len(dimsList))
-	}
-	b := len(dimsList)
-	var n int
-	for q, dims := range dimsList {
-		nq, err := validDims(dims)
-		if err != nil {
-			return 0, fmt.Errorf("matchain: batch instance %d: %v", q, err)
-		}
-		if q == 0 {
-			n = nq
-		} else if nq != n {
-			return 0, fmt.Errorf("matchain: batch instance %d has n=%d, batch shape is n=%d", q, nq, n)
-		}
-	}
-	key := flatKey{n}
-	f := flatPool.Get(key)
-	for q, dims := range dimsList {
-		if err := f.Solve(dims); err != nil {
-			return 0, fmt.Errorf("matchain: batch instance %d: %v", q, err)
-		}
-		costs[q] = f.OptimalCost()
-		if parens != nil {
-			parens[q] = f.Parenthesization()
-		}
-	}
-	flatPool.Put(key, f) // clean completion only
-	if n < 2 {
-		// A single-matrix chain has no waves; the model still charges one
-		// cycle per instance for the trivial answer (as WavefrontBatch).
-		return b, nil
-	}
-	return b*(n-1) + (n - 1), nil
-}

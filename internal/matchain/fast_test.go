@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+func randDims(rng *rand.Rand, n int) []int {
+	dims := make([]int, n+1)
+	for i := range dims {
+		dims[i] = 1 + rng.Intn(12)
+	}
+	return dims
+}
+
 // TestFlatBitwiseVsDP pins the flat kernel cell-by-cell against DP:
 // every Cost value bitwise, every Split index equal, plus the rendered
 // parenthesization.
@@ -58,42 +66,6 @@ func TestFlatRejectsBadDims(t *testing.T) {
 	}
 }
 
-func TestWavefrontBatchFastMatchesWavefrontBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, b := range []int{1, 2, 7} {
-		dimsList := make([][]int, b)
-		for q := range dimsList {
-			dimsList[q] = randDims(rng, 9)
-		}
-		wantTabs, wantCycles, err := WavefrontBatch(dimsList)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs, parens, cycles, err := WavefrontBatchFast(dimsList)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cycles != wantCycles {
-			t.Fatalf("b=%d: cycles %d != %d", b, cycles, wantCycles)
-		}
-		for q := range wantTabs {
-			if costs[q] != wantTabs[q].OptimalCost() {
-				t.Fatalf("b=%d q=%d: cost %v != %v", b, q, costs[q], wantTabs[q].OptimalCost())
-			}
-			if parens[q] != wantTabs[q].Parenthesization() {
-				t.Fatalf("b=%d q=%d: paren %q != %q", b, q, parens[q], wantTabs[q].Parenthesization())
-			}
-		}
-	}
-	// Mismatched lengths fail the whole batch, like WavefrontBatch.
-	if _, _, _, err := WavefrontBatchFast([][]int{{2, 3, 4}, {2, 3}}); err == nil {
-		t.Fatal("mismatched batch accepted")
-	}
-	if _, _, _, err := WavefrontBatchFast(nil); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-}
-
 // TestFlatSolveZeroAllocSteadyState is the tentpole's allocation gate
 // for the chain kernel: refilling a warm flat table allocates nothing.
 func TestFlatSolveZeroAllocSteadyState(t *testing.T) {
@@ -113,26 +85,6 @@ func TestFlatSolveZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Flat.Solve allocates %v objects/op steady-state, want 0", allocs)
-	}
-}
-
-func TestWavefrontBatchFastIntoZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts randomly under the race detector")
-	}
-	rng := rand.New(rand.NewSource(24))
-	dimsList := [][]int{randDims(rng, 12), randDims(rng, 12)}
-	costs := make([]float64, len(dimsList))
-	if _, err := WavefrontBatchFastInto(costs, nil, dimsList); err != nil { // warm
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := WavefrontBatchFastInto(costs, nil, dimsList); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("WavefrontBatchFastInto allocates %v objects/op steady-state, want 0", allocs)
 	}
 }
 

@@ -342,3 +342,19 @@ func TestTropicalFastPathDimensionPanic(t *testing.T) {
 	}()
 	MulMat(semiring.MinPlus{}, New(2, 3, 0), New(2, 2, 0))
 }
+
+func BenchmarkChainVec32(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	ms := make([]*Matrix, 5)
+	for i := range ms {
+		ms[i] = Random(rng, 32, 32, -5, 5)
+	}
+	v := make([]float64, 32)
+	for i := range v {
+		v[i] = rng.Float64()*10 - 5
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ChainVec(semiring.MinPlus{}, ms, v)
+	}
+}

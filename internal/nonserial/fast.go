@@ -14,7 +14,6 @@ package nonserial
 // the measured step count equals equation (40) exactly as before.
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -130,54 +129,4 @@ func eliminateFlat[O Ternary](domains [][]float64, op O, ws *elimWS) (float64, i
 	steps += len(h)
 	ws.h, ws.nh = h, nh // keep the grown capacity pooled
 	return cost, steps
-}
-
-// EliminateBatchFast is EliminateBatch on the monomorphized kernel: it
-// validates exactly like EliminateBatch (same error messages) and solves
-// the instances on one pooled workspace. Instances are independent, so
-// the per-instance order here and EliminateBatch's lockstep interleaving
-// compute identical tables; costs and the summed step count are bitwise
-// identical.
-func EliminateBatchFast(chains []*Chain3) (costs []float64, steps int, err error) {
-	costs = make([]float64, len(chains))
-	steps, err = EliminateBatchFastInto(costs, chains)
-	if err != nil {
-		return nil, 0, err
-	}
-	return costs, steps, nil
-}
-
-// EliminateBatchFastInto is EliminateBatchFast writing into a
-// caller-owned cost slice for allocation-free steady-state batches.
-func EliminateBatchFastInto(costs []float64, chains []*Chain3) (steps int, err error) {
-	if len(chains) == 0 {
-		return 0, fmt.Errorf("nonserial: empty batch")
-	}
-	if len(costs) != len(chains) {
-		return 0, fmt.Errorf("nonserial: costs length %d != batch size %d", len(costs), len(chains))
-	}
-	profile := chains[0].Domains
-	for q, c := range chains {
-		if err := c.Validate(); err != nil {
-			return 0, fmt.Errorf("nonserial: batch instance %d: %v", q, err)
-		}
-		if len(c.Domains) != len(profile) {
-			return 0, fmt.Errorf("nonserial: batch instance %d has %d variables, batch shape has %d",
-				q, len(c.Domains), len(profile))
-		}
-		for k := range c.Domains {
-			if len(c.Domains[k]) != len(profile[k]) {
-				return 0, fmt.Errorf("nonserial: batch instance %d domain %d has %d values, batch shape has %d",
-					q, k, len(c.Domains[k]), len(profile[k]))
-			}
-		}
-	}
-	ws := elimPool.Get().(*elimWS)
-	for q, c := range chains {
-		cost, s := eliminateWS(c, ws)
-		costs[q] = cost
-		steps += s
-	}
-	elimPool.Put(ws) // clean completion only
-	return steps, nil
 }

@@ -63,41 +63,6 @@ func TestEliminateFastRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestEliminateBatchFastMatchesEliminateBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for _, b := range []int{1, 2, 7} {
-		chains := make([]*Chain3, b)
-		for q := range chains {
-			chains[q] = RandomChain3(rng, 5, 4, -3, 3)
-		}
-		wantCosts, wantSteps, err := EliminateBatch(chains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotCosts, gotSteps, err := EliminateBatchFast(chains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSteps != wantSteps {
-			t.Fatalf("b=%d: steps %d != %d", b, gotSteps, wantSteps)
-		}
-		for q := range wantCosts {
-			if gotCosts[q] != wantCosts[q] {
-				t.Fatalf("b=%d q=%d: cost %v != %v", b, q, gotCosts[q], wantCosts[q])
-			}
-		}
-	}
-	// Profile mismatches fail the whole batch, like EliminateBatch.
-	a := RandomChain3(rng, 5, 4, -3, 3)
-	bb := RandomChain3(rng, 5, 3, -3, 3)
-	if _, _, err := EliminateBatchFast([]*Chain3{a, bb}); err == nil {
-		t.Fatal("mismatched batch accepted")
-	}
-	if _, _, err := EliminateBatchFast(nil); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-}
-
 // TestEliminateFastZeroAllocSteadyState is the tentpole's allocation
 // gate for the nonserial kernel.
 func TestEliminateFastZeroAllocSteadyState(t *testing.T) {
@@ -116,26 +81,6 @@ func TestEliminateFastZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EliminateFast allocates %v objects/op steady-state, want 0", allocs)
-	}
-}
-
-func TestEliminateBatchFastIntoZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts randomly under the race detector")
-	}
-	rng := rand.New(rand.NewSource(34))
-	chains := []*Chain3{RandomChain3(rng, 6, 5, -5, 5), RandomChain3(rng, 6, 5, -5, 5)}
-	costs := make([]float64, len(chains))
-	if _, err := EliminateBatchFastInto(costs, chains); err != nil { // warm
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := EliminateBatchFastInto(costs, chains); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EliminateBatchFastInto allocates %v objects/op steady-state, want 0", allocs)
 	}
 }
 

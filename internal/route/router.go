@@ -445,19 +445,10 @@ func (rt *Router) shedCheck(rep *replica, kind string, cycles float64, deadline 
 	if st == nil || time.Since(st.at) > rt.cfg.StatuszMaxAge {
 		return 0, false
 	}
-	// Micro-batching replicas calibrate under the batch kernels'
-	// execution kinds ("dtw-batch", ...), not the pool kinds
-	// EstimateCostFile prices with ("dtw", ...) — and those are exactly
-	// the highest-throughput deployments, where a blind edge shed hurts
-	// most. Prefer the batch rate when the replica advertises one (its
-	// units are the same EstimateCost units, summed per batch), falling
-	// back to the pool-kind rate for unbatched replicas.
+	// EstimateCostFile prices under the same kind a replica calibrates
+	// on either execution path: "graph-stream" names both the Design-1
+	// batch kernel and its pool fallback.
 	rate := st.s.Admit.Rates[kind]
-	if bk := serve.BatchKind(kind); bk != "" {
-		if br := st.s.Admit.Rates[bk]; br > 0 {
-			rate = br
-		}
-	}
 	if rate <= 0 {
 		return 0, false
 	}

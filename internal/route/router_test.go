@@ -511,12 +511,11 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// A micro-batching replica calibrates its admission rates under the
-// batch kernels' execution kinds ("chain-batch", ...), not the pool
-// kinds EstimateCostFile reports ("chain", ...). The edge shed must
-// price against the batch rate when that is what the replica
-// advertises — before the fix this request forwarded into the hour-long
-// backlog instead of shedding at the edge.
+// A micro-batching replica calibrates Design-1 graphs under the stream
+// kernel's kind, "graph-stream", and EstimateCostFile must price the
+// same request under that kind, so the edge shed sees the replica's
+// calibrated batched rate instead of forwarding into the hour-long
+// backlog.
 func TestRouterEarlyShedBatchedKinds(t *testing.T) {
 	a := newFakeReplica()
 	defer a.ts.Close()
@@ -530,12 +529,13 @@ func TestRouterEarlyShedBatchedKinds(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	// The replica batches chain solves: only "chain-batch" is calibrated.
+	// The replica batches Design-1 graphs: only "graph-stream" is
+	// calibrated.
 	a.status.Store(serve.Statusz{
 		Workers: 1,
 		Admit: serve.AdmitStatus{
 			BacklogSeconds: 3600,
-			Rates:          map[string]float64{"chain-batch": 1e6},
+			Rates:          map[string]float64{"graph-stream": 1e6},
 		},
 	})
 	waitFor(t, time.Second, func() bool {
@@ -543,7 +543,8 @@ func TestRouterEarlyShedBatchedKinds(t *testing.T) {
 		return len(rep) == 1 && rep[0].BacklogSeconds > 0
 	})
 	solved := a.solves.Load()
-	resp, _ := postBody(t, ts.URL, chainBody(2))
+	graph := `{"problem":"graph","design":1,"costs":[[[1,2,3]],[[4,5,6],[7,8,9],[1,1,1]],[[2],[3],[4]]]}`
+	resp, _ := postBody(t, ts.URL, graph)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("batched-kind overload status %d, want 429 (edge shed blind to batch rates)", resp.StatusCode)
 	}

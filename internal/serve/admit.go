@@ -194,33 +194,6 @@ func EstimateCostFile(f *spec.File) (kind string, cycles float64) {
 	}
 }
 
-// BatchKind maps an EstimateCost pool kind to the execution-path kind a
-// micro-batching replica calibrates under. The batcher observes service
-// rates with the batch kernel's Kind() ("dtw-batch", ...) while the
-// admission estimate prices requests under the pool kind ("dtw", ...);
-// anything comparing an estimate against advertised rates (the router's
-// edge shed in particular) must consult both names. The units agree:
-// batch kernels observe the sum of their items' EstimateCost units (and
-// GraphStreamKernel its stream cycles, which IS its EstimateCost), so a
-// single request's cycles divided by a batch rate is well-formed.
-// Returns "" for kinds with no batch kernel.
-func BatchKind(kind string) string {
-	switch kind {
-	case "dtw":
-		return "dtw-batch"
-	case "align":
-		return "align-batch"
-	case "chain":
-		return "chain-batch"
-	case "nonserial":
-		return "nonserial-batch"
-	case "graph-stream":
-		return "graph-stream" // batch kernel shares the pool kind name
-	default:
-		return ""
-	}
-}
-
 // OverloadError is the admission controller's shed verdict: the backlog's
 // predicted completion exceeds the request's deadline, so solving it
 // would only produce a late answer. It maps to 429 (errors.Is ErrBusy)

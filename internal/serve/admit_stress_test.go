@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"systolicdp/internal/tile"
 )
 
 // chainSpec builds a distinct chain-ordering spec; salt perturbs one
@@ -26,13 +28,14 @@ func chainSpec(salt int) string {
 // (429 for the doomed, 200 for the feasible), leave zero backlog, and
 // leak no goroutines after Close.
 func TestStressAdmissionShedUnderRamp(t *testing.T) {
+	// The DTW solves start the process-wide tile pool, whose workers are
+	// resident by design; start it before sampling the baseline.
+	tile.Default()
 	baseline := runtime.NumGoroutine()
 
 	s := New(Config{BatchWindow: -1, Timeout: time.Second, AdmitEnabled: true})
 	ts := httptest.NewServer(s.Handler())
-	// Chains route through the batch kernel, so their admission rate key
-	// is the execution path's kind, not the pool kind.
-	s.admit.setRate("chain-batch", 1) // ~57 units -> minutes of predicted work
+	s.admit.setRate("chain", 1) // ~57 units -> minutes of predicted work
 
 	const ramp = 40
 	var shed, solved, other atomic.Int64
@@ -143,7 +146,7 @@ func TestStressCloseDuringShedding(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		s := New(Config{BatchWindow: -1, Timeout: time.Second, AdmitEnabled: true})
 		ts := httptest.NewServer(s.Handler())
-		s.admit.setRate("chain-batch", 1)
+		s.admit.setRate("chain", 1)
 
 		var wg sync.WaitGroup
 		start := make(chan struct{})

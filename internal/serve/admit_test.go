@@ -41,6 +41,13 @@ func TestEstimateCostClosedForms(t *testing.T) {
 	// (padded vector) and K' matrices; verify against the engine's own
 	// model rather than hand-deriving the padding.
 	p := specProblem(t, graphSpec(0)).(*core.MultistageProblem)
+	// dispatch prices a batched problem under EstimateCost's kind and the
+	// batcher calibrates it under the kernel's: the two must agree.
+	for _, k := range core.BatchKernels() {
+		if _, ok := k.Shape(p); ok && k.Kind() != kind {
+			t.Errorf("kernel %q batches a problem EstimateCost prices as %q", k.Kind(), kind)
+		}
+	}
 	sp, err := core.StreamProblemFromGraph(p.Graph)
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +181,8 @@ func TestServeAdmissionShedsOverHTTP(t *testing.T) {
 	defer ts.Close()
 
 	// Calibrate chain ordering absurdly slow: 1 unit/second means the
-	// ~57-unit chain below prices far past the 50ms budget. Chains route
-	// through the batch kernel, so the rate key is the execution path's
-	// kind ("chain-batch"), not the pool kind.
-	s.admit.setRate("chain-batch", 1)
+	// ~57-unit chain below prices far past the 50ms budget.
+	s.admit.setRate("chain", 1)
 
 	resp, err := http.Post(ts.URL+"/solve", "application/json",
 		strings.NewReader(`{"problem":"chain","dims":[30,35,15,5,10,20,25]}`))
@@ -210,7 +215,7 @@ func TestServeAdmissionShedsOverHTTP(t *testing.T) {
 
 	// A feasible request still solves, and its measured rate rewrites the
 	// bogus calibration so subsequent requests admit again.
-	s.admit.setRate("chain-batch", 0)
+	s.admit.setRate("chain", 0)
 	resp, err = http.Post(ts.URL+"/solve", "application/json",
 		strings.NewReader(`{"problem":"chain","dims":[3,5,7,2]}`))
 	if err != nil {
@@ -221,13 +226,14 @@ func TestServeAdmissionShedsOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("feasible request after recalibration: status %d", resp.StatusCode)
 	}
-	if s.admit.Rate("chain-batch") <= 0 {
-		t.Error("successful solve did not calibrate the chain-batch rate")
+	if s.admit.Rate("chain") <= 0 {
+		t.Error("successful solve did not calibrate the chain rate")
 	}
 }
 
-// Solving through the real pipeline calibrates every kind it touches,
-// and the Design-1 batcher path feeds the graph-stream rate.
+// Solving through the real pipeline calibrates every kind it touches:
+// the Design-1 batcher path feeds the graph-stream rate, the pool the
+// chain rate.
 func TestAdmitterCalibratesFromTraffic(t *testing.T) {
 	s := New(Config{BatchWindow: time.Millisecond, BatchMax: 4})
 	defer s.Close()
@@ -240,8 +246,8 @@ func TestAdmitterCalibratesFromTraffic(t *testing.T) {
 	if r := s.admit.Rate("graph-stream"); r <= 0 {
 		t.Error("batched Design-1 solve did not calibrate graph-stream rate")
 	}
-	if r := s.admit.Rate("chain-batch"); r <= 0 {
-		t.Error("batched chain solve did not calibrate chain-batch rate")
+	if r := s.admit.Rate("chain"); r <= 0 {
+		t.Error("pool chain solve did not calibrate the chain rate")
 	}
 	if got := s.admit.BacklogSeconds(); got != 0 {
 		t.Errorf("backlog non-zero at idle: %v", got)
@@ -272,31 +278,5 @@ func TestAdmitterBacklogReleasesOnAllPaths(t *testing.T) {
 	}
 	if got := s.admit.BacklogSeconds(); got != 0 {
 		t.Errorf("backlog after successful dispatch = %v, want 0", got)
-	}
-}
-
-// BatchKind must cover every batch kernel the server can calibrate
-// under: for each core.BatchKernels() kernel there is a pool kind whose
-// BatchKind is that kernel's Kind(), and BatchKind never invents a kind
-// no kernel executes.
-func TestBatchKindCoversBatchKernels(t *testing.T) {
-	poolKinds := []string{"graph-stream", "graph", "nodevalued", "dtw", "align", "viterbi", "knapsack", "chain", "nonserial", "other"}
-	reachable := make(map[string]bool)
-	for _, k := range poolKinds {
-		if bk := BatchKind(k); bk != "" {
-			reachable[bk] = true
-		}
-	}
-	execKinds := make(map[string]bool)
-	for _, kern := range core.BatchKernels() {
-		execKinds[kern.Kind()] = true
-		if !reachable[kern.Kind()] {
-			t.Errorf("batch kernel kind %q unreachable from any pool kind via BatchKind", kern.Kind())
-		}
-	}
-	for bk := range reachable {
-		if !execKinds[bk] {
-			t.Errorf("BatchKind maps to %q, but no batch kernel executes under that kind", bk)
-		}
 	}
 }

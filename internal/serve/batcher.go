@@ -12,16 +12,14 @@ import (
 	"systolicdp/internal/pipearray"
 )
 
-// Batcher micro-batches concurrent requests of every batchable kind:
-// problems of one kind and one shape that arrive within one collection
-// window are flushed together through that kind's batch kernel — the
-// streamed pipelined array for Design-1 graphs, the stacked anti-diagonal
-// wavefront for DTW, the shared diagonal sweep for chain ordering, and
-// lockstep elimination for nonserial chains — so B instances pay one
-// pipeline fill (and one scheduling round) instead of B. This is the
-// serving-side form of the paper's Section 3.2 observation that
-// successive instances can be fed with no inter-problem delay,
-// generalized from graphs to all wavefront-shaped kinds.
+// Batcher micro-batches concurrent Design-1 graph requests: problems of
+// one shape that arrive within one collection window are flushed together
+// through the streamed pipelined array, so B instances pay one pipeline
+// fill (and one scheduling round) instead of B. This is the serving-side
+// form of the paper's Section 3.2 observation that successive instances
+// can be fed with no inter-problem delay. The bucketing is keyed by
+// kernel kind and shape (core.BatchKernels), but the stream is the only
+// kernel: no other kind's batch shares work (see core.BatchStats).
 type Batcher struct {
 	window   time.Duration // collection window after the first arrival
 	maxBatch int           // flush immediately at this many instances
@@ -31,8 +29,7 @@ type Batcher struct {
 	kernels []core.BatchKernel
 
 	// Lock-step engine parallel-compute knobs for streamed graph runs; see
-	// systolic.Array.Parallelism / ParallelThreshold. Software wavefront
-	// kernels ignore them.
+	// systolic.Array.Parallelism / ParallelThreshold.
 	engineParallelism int
 	engineThreshold   int
 
@@ -72,7 +69,6 @@ type batch struct {
 
 type batchItem struct {
 	problem  core.Problem
-	units    float64          // EstimateCost work units (admission calibration)
 	ctx      context.Context  // the submitter's context; cancelled items are dropped at flush
 	ch       chan batchResult // buffered; flush never blocks on delivery
 	enqueued time.Time
@@ -109,9 +105,7 @@ func NewBatcher(window time.Duration, maxBatch, maxQueue int, m *Metrics) *Batch
 
 // Kernel returns the batch kernel owning p and p's shape bucket, or
 // ok=false when no kernel accepts it (the problem stays on the general
-// pool). The server's dispatch uses this to pick the admission rate key
-// before pricing, so batched work is priced against the batched path's
-// calibration, not the pool's.
+// pool). The server's dispatch uses this to route p.
 func (b *Batcher) Kernel(p core.Problem) (core.BatchKernel, string, bool) {
 	for _, k := range b.kernels {
 		if shape, ok := k.Shape(p); ok {
@@ -130,10 +124,8 @@ func (b *Batcher) Submit(ctx context.Context, p core.Problem) (*core.Solution, e
 		return nil, fmt.Errorf("serve: no batch kernel accepts %T", p)
 	}
 	key := batchKey{kind: kernel.Kind(), shape: shape}
-	_, units := EstimateCost(p)
 	item := &batchItem{
 		problem:  p,
-		units:    units,
 		ctx:      ctx,
 		ch:       make(chan batchResult, 1),
 		enqueued: time.Now(),
@@ -296,36 +288,21 @@ func (b *Batcher) flush(bt *batch) {
 	b.metrics.BatchOccupancy.With(bt.key.kind).Observe(float64(len(live)))
 	b.metrics.BatchAssemblySeconds.Observe(flushStart.Sub(earliest).Seconds())
 	if stats != nil {
-		if _, stream := bt.kernel.(core.GraphStreamKernel); stream {
-			// The engine gauges describe the last streamed ARRAY run; the
-			// software wavefront kernels must not clobber them with their
-			// fixed single-worker shape.
-			b.metrics.EngineWorkers.Set(float64(stats.Workers))
-			b.metrics.EngineUtilization.Set(stats.Utilization)
-			// The paper's Eq. 9 closed-form PU for this batch's shape next to
-			// the measured utilization, so dptop and /metrics scrapes can show
-			// measured-vs-predicted without re-deriving the formula.
-			b.metrics.EnginePUExpected.Set(stats.PUExpected)
-		}
+		// The engine gauges describe the last streamed array run, with the
+		// paper's Eq. 9 closed-form PU for this batch's shape next to the
+		// measured utilization, so dptop and /metrics scrapes can show
+		// measured-vs-predicted without re-deriving the formula.
+		b.metrics.EngineWorkers.Set(float64(stats.Workers))
+		b.metrics.EngineUtilization.Set(stats.Utilization)
+		b.metrics.EnginePUExpected.Set(stats.PUExpected)
 		if b.admit != nil && err == nil {
-			// Calibrate the admission model with the measured BATCHED rate,
-			// under the kernel's own execution-path kind (satellite: pool-
-			// calibrated rates must not price batched work, and vice versa).
-			// The streamed graph engine reports exactly the cycle count the
-			// closed form predicts, so its measured cycles are the right
-			// units; the software kernels report their own sweep models, so
-			// for them the batch's work is the sum of the per-item
-			// EstimateCost units — dividing by the batch wall time makes the
-			// calibrated rate absorb occupancy, which is what prices a single
-			// batched request at marginal rather than standalone cost.
-			units := float64(stats.Cycles)
-			if _, stream := bt.kernel.(core.GraphStreamKernel); !stream {
-				units = 0
-				for _, it := range live {
-					units += it.units
-				}
-			}
-			b.admit.Observe(bt.key.kind, units, solveEnd.Sub(solveStart).Seconds())
+			// Calibrate the admission model with the measured batched rate
+			// under the kernel's kind. The streamed engine reports exactly
+			// the cycle count the closed form predicts, so its cycles are
+			// the EstimateCost units, and dividing by the batch wall time
+			// makes the rate absorb occupancy: a single batched request is
+			// priced at its marginal, not standalone, cost.
+			b.admit.Observe(bt.key.kind, float64(stats.Cycles), solveEnd.Sub(solveStart).Seconds())
 		}
 	}
 	for _, it := range live {

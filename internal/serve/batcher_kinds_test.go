@@ -3,18 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"systolicdp/internal/core"
 	"systolicdp/internal/multistage"
-	"systolicdp/internal/nonserial"
 	"systolicdp/internal/semiring"
 )
 
@@ -26,29 +21,29 @@ func stagedGraph(seed int64, stageSizes []int) *core.MultistageProblem {
 	return &core.MultistageProblem{Graph: multistage.SingleSourceSink(semiring.MinPlus{}, inner), Design: 1}
 }
 
-// batchDTW, batchChain, batchNonserial build batchable non-graph problems
-// for the per-kind tests; salt perturbs values, not shapes, so instances
-// co-bucket.
-func batchDTW(salt int) *core.DTWProblem {
-	rng := rand.New(rand.NewSource(int64(salt) + 1))
-	x := make([]float64, 6)
-	y := make([]float64, 5)
-	for i := range x {
-		x[i] = float64(rng.Intn(20) - 10)
-	}
-	for i := range y {
-		y[i] = float64(rng.Intn(20) - 10)
-	}
-	return &core.DTWProblem{X: x, Y: y}
+type batchCase struct {
+	kind string
+	mk   func(salt int) core.Problem
 }
 
-func batchChain(salt int) *core.ChainOrderingProblem {
-	return &core.ChainOrderingProblem{Dims: []int{30, 35, 15, 5 + salt%20 + 1, 10, 20, 25}}
-}
-
-func batchNonserial(salt int) *core.NonserialChainProblem {
-	rng := rand.New(rand.NewSource(int64(salt) + 1))
-	return &core.NonserialChainProblem{Chain: nonserial.RandomChain3(rng, 4, 3, 0, 9)}
+// batchCases pairs every registered batch kernel with a maker of
+// batchable instances of its kind; salt perturbs values, not shapes, so
+// instances co-bucket. A kernel without a maker fails the test, so no
+// kernel goes untested by the per-kind tests below.
+func batchCases(t *testing.T) []batchCase {
+	t.Helper()
+	makers := map[string]func(salt int) core.Problem{
+		"graph-stream": func(s int) core.Problem { return batchGraph(int64(s+1), 5, 4) },
+	}
+	var cases []batchCase
+	for _, k := range core.BatchKernels() {
+		mk, ok := makers[k.Kind()]
+		if !ok {
+			t.Fatalf("batch kernel %q has no instance maker in batchCases", k.Kind())
+		}
+		cases = append(cases, batchCase{k.Kind(), mk})
+	}
+	return cases
 }
 
 // Regression test for the shape-key bug: the old bucket key was
@@ -126,20 +121,11 @@ func TestBatcherShapeKeyUsesFullProfile(t *testing.T) {
 }
 
 // Every batch kernel round-trips through the batcher: co-windowed
-// same-shape instances of each kind flush as ONE kernel sweep, every
+// same-shape instances of each kind flush as ONE kernel run, every
 // waiter gets its own instance's answer, answers are bitwise equal to the
 // sequential solver's, and occupancy is recorded under the kernel's kind.
 func TestBatcherAllKindsRoundTrip(t *testing.T) {
-	cases := []struct {
-		kind string
-		mk   func(salt int) core.Problem
-	}{
-		{"graph-stream", func(s int) core.Problem { return batchGraph(int64(s+1), 5, 4) }},
-		{"dtw-batch", func(s int) core.Problem { return batchDTW(s) }},
-		{"chain-batch", func(s int) core.Problem { return batchChain(s) }},
-		{"nonserial-batch", func(s int) core.Problem { return batchNonserial(s) }},
-	}
-	for _, tc := range cases {
+	for _, tc := range batchCases(t) {
 		t.Run(tc.kind, func(t *testing.T) {
 			met := NewMetrics()
 			b := NewBatcher(60*time.Millisecond, 16, 100, met)
@@ -188,76 +174,12 @@ func TestBatcherAllKindsRoundTrip(t *testing.T) {
 	}
 }
 
-// Regression test for stale-rate pricing across the pool->batch cutover:
-// a kind's pool-calibrated service rate describes one-at-a-time solves,
-// so it must never price the batched execution path (and vice versa).
-// Before per-execution-path rate keys, the pool's stale "chain" rate shed
-// batched requests that the batch kernel could easily meet — a permanent
-// 429 for a healthy server.
-func TestAdmissionRateKeyFollowsExecutionPath(t *testing.T) {
-	const body = `{"problem":"chain","dims":[30,35,15,5,10,20,25]}`
-
-	post := func(t *testing.T, url string) int {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, url+"/solve", strings.NewReader(body))
-		req.Header.Set(DeadlineHeader, "50")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// Batched path: a poisoned POOL rate must not shed, the batch path's
-	// own rate must.
-	s := New(Config{AdmitEnabled: true, AdmitHeadroom: 1, CacheSize: -1})
-	ts := httptest.NewServer(s.Handler())
-	s.admit.setRate("chain", 1) // stale pool calibration: ~57 units -> ~1 minute
-	if code := post(t, ts.URL); code != http.StatusOK {
-		t.Errorf("batched chain priced by stale pool rate: status %d, want 200", code)
-	}
-	s.admit.setRate("chain-batch", 1)
-	if code := post(t, ts.URL); code != http.StatusTooManyRequests {
-		t.Errorf("infeasible batched rate admitted: status %d, want 429", code)
-	}
-	ts.Close()
-	s.Close()
-
-	// Pool path (BatchMax 1 disables batching): the symmetric property —
-	// a poisoned BATCH rate must not shed pool work.
-	s = New(Config{AdmitEnabled: true, AdmitHeadroom: 1, BatchMax: 1, CacheSize: -1})
-	ts = httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Close()
-	s.admit.setRate("chain-batch", 1)
-	if code := post(t, ts.URL); code != http.StatusOK {
-		t.Errorf("pool chain priced by stale batch rate: status %d, want 200", code)
-	}
-	if r := s.admit.Rate("chain"); r <= 0 {
-		t.Error("pool solve did not calibrate the pool chain rate")
-	}
-	s.admit.setRate("chain", 1)
-	if code := post(t, ts.URL); code != http.StatusTooManyRequests {
-		t.Errorf("infeasible pool rate admitted: status %d, want 429", code)
-	}
-}
-
-// Cancellation safety holds for every software batch kernel, not just
-// the graph stream (run under -race): a cancelled submitter frees its
-// admission slot eagerly, the flush drops it without solving it, and
-// survivors in the same bucket still get correct answers.
+// Cancellation safety holds for every batch kernel (run under -race): a
+// cancelled submitter frees its admission slot eagerly, the flush drops
+// it without solving it, and survivors in the same bucket still get
+// answers bitwise equal to the sequential solver's.
 func TestBatcherCancelPerKind(t *testing.T) {
-	cases := []struct {
-		kind string
-		mk   func(salt int) core.Problem
-	}{
-		{"dtw-batch", func(s int) core.Problem { return batchDTW(s) }},
-		{"chain-batch", func(s int) core.Problem { return batchChain(s) }},
-		{"nonserial-batch", func(s int) core.Problem { return batchNonserial(s) }},
-	}
-	for _, tc := range cases {
+	for _, tc := range batchCases(t) {
 		t.Run(tc.kind, func(t *testing.T) {
 			met := NewMetrics()
 			b := NewBatcher(80*time.Millisecond, 16, 100, met)
@@ -324,16 +246,9 @@ func TestBatcherCancelPerKind(t *testing.T) {
 	}
 }
 
-// An all-cancelled bucket never runs its kernel, for every software kind.
+// An all-cancelled bucket never runs its kernel, for every batch kernel.
 func TestBatcherAllCancelledSkipsKernelPerKind(t *testing.T) {
-	for _, tc := range []struct {
-		kind string
-		mk   func(salt int) core.Problem
-	}{
-		{"dtw-batch", func(s int) core.Problem { return batchDTW(s) }},
-		{"chain-batch", func(s int) core.Problem { return batchChain(s) }},
-		{"nonserial-batch", func(s int) core.Problem { return batchNonserial(s) }},
-	} {
+	for _, tc := range batchCases(t) {
 		t.Run(tc.kind, func(t *testing.T) {
 			met := NewMetrics()
 			b := NewBatcher(60*time.Millisecond, 16, 4, met)
@@ -369,50 +284,5 @@ func TestBatcherAllCancelledSkipsKernelPerKind(t *testing.T) {
 				t.Errorf("occupancy observed for a skipped %s flush", tc.kind)
 			}
 		})
-	}
-}
-
-// Mixed kinds submitted in one window land in per-kind buckets: one
-// flush per kind, no cross-kind contamination, all answers correct.
-func TestBatcherMixedKindsBucketSeparately(t *testing.T) {
-	met := NewMetrics()
-	b := NewBatcher(60*time.Millisecond, 16, 100, met)
-	defer b.Close()
-
-	ps := []core.Problem{
-		batchGraph(1, 5, 4), batchGraph(2, 5, 4),
-		batchDTW(0), batchDTW(1),
-		batchChain(0), batchChain(1),
-		batchNonserial(0), batchNonserial(1),
-	}
-	var wg sync.WaitGroup
-	for i := range ps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sol, err := b.Submit(context.Background(), ps[i])
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			want, err := core.Solve(ps[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if sol.Cost != want.Cost {
-				t.Errorf("instance %d: cost %v, want %v", i, sol.Cost, want.Cost)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := met.Batches.Value(); got != 4 {
-		t.Errorf("flushes = %d, want 4 (one per kind bucket)", got)
-	}
-	for _, kind := range []string{"graph-stream", "dtw-batch", "chain-batch", "nonserial-batch"} {
-		h := met.BatchOccupancy.With(kind)
-		if h.Count() != 1 || h.Sum() != 2 {
-			t.Errorf("occupancy[%s] = (count %d, sum %v), want (1, 2)", kind, h.Count(), h.Sum())
-		}
 	}
 }

@@ -7,11 +7,14 @@
 //
 // Architecture:
 //
-//   - a worker pool sharded by problem class: batchable kinds — Design-1
-//     multistage graphs, DTW, chain ordering, nonserial chains — go to
-//     the kind-generic micro-batcher (one shared kernel sweep per
-//     same-shape batch); everything else (graph designs 0/2, nodevalued)
-//     goes to a bounded general pool;
+//   - a worker pool sharded by problem class: Design-1 multistage graphs
+//     go to the micro-batcher, where same-shape instances stream through
+//     the pipelined array back to back and share one pipeline fill;
+//     every other kind goes to a bounded general pool. Only Design 1 is
+//     batched because only its batch shares work: the other kinds'
+//     kernels would sweep each instance separately anyway, and their
+//     measured batch occupancy stayed at 1.0–1.2, so batching them only
+//     added the collection window to their latency;
 //   - an LRU result cache keyed by the canonical spec hash, with
 //     singleflight deduplication so identical in-flight requests solve
 //     once;
@@ -288,19 +291,12 @@ func (s *Server) dispatch(ctx context.Context, p core.Problem) (*core.Solution, 
 		// through admission, so make it visible.
 		s.metrics.AdmitUnpriced.Inc()
 	}
-	// Routing decides the admission rate key: a kind's pool-calibrated
-	// service rate describes one-at-a-time solves and goes stale the moment
-	// the kind cuts over to a batch kernel (whose per-request marginal cost
-	// is far lower), so batched work is priced and calibrated under the
-	// kernel's own execution-path kind instead. EstimateCost already names
-	// the Design-1 stream path "graph-stream"; the other kernels report
-	// "<kind>-batch".
+	// EstimateCost already prices the Design-1 stream, the one batched
+	// kind, under its kernel's own kind ("graph-stream"), so admission and
+	// calibration use one rate key whichever path the problem takes.
 	batched := false
 	if s.cfg.BatchMax > 1 {
-		if k, _, ok := s.batcher.Kernel(p); ok {
-			batched = true
-			kind = k.Kind()
-		}
+		_, _, batched = s.batcher.Kernel(p)
 	}
 	deadline := s.cfg.Timeout
 	if dl, ok := ctx.Deadline(); ok {

@@ -8,13 +8,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"systolicdp/internal/check"
 	"systolicdp/internal/core"
 	"systolicdp/internal/spec"
 )
@@ -63,41 +66,54 @@ func graphSpec(salt int) string {
 }
 
 // The served answer must match what dpsolve -spec computes for the same
-// file: core.Solve on the parsed spec.
+// file — core.Solve on the parsed spec — bit for bit, for generated
+// instances of every kind, with batching on (the default) and off
+// (BatchMax 1). The cache is off so every request reaches a kernel.
 func TestServeMatchesDirectSolve(t *testing.T) {
-	s := New(Config{BatchWindow: -1}) // immediate flushes; no batching delay
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, batchMax := range []int{0, 1} {
+		t.Run(fmt.Sprintf("batch_max=%d", batchMax), func(t *testing.T) {
+			s := New(Config{BatchMax: batchMax, CacheSize: -1})
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	for _, body := range []string{
-		graphSpec(0),
-		`{"problem":"chain","dims":[30,35,15,5,10,20,25]}`,
-		`{"problem":"nodevalued","values":[[0,10],[5,20],[5,0]],"cost":"absdiff"}`,
-		`{"problem":"nonserial","domains":[[1,2],[1,2],[1,2],[1,2]],"cost":"span"}`,
-		`{"problem":"dtw","x":[0,1,2,3],"y":[0,1,1,2,3]}`,
-	} {
-		status, got, raw, _ := postSpec(t, ts.URL, body)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", body, status, raw)
-		}
-		p, err := spec.Parse([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Errorf("%s: served cost %v, direct cost %v", body, got.Cost, want.Cost)
-		}
-		if got.Class != want.Class.String() {
-			t.Errorf("%s: class %q, want %q", body, got.Class, want.Class)
-		}
-		if len(got.Path) != len(want.Path) {
-			t.Errorf("%s: path %v, want %v", body, got.Path, want.Path)
-		}
+			rng := rand.New(rand.NewSource(13))
+			for _, kind := range check.Kinds() {
+				for n := 0; n < 8; {
+					in := check.GenKind(rng, kind, check.GenConfig{})
+					if in.File.Validate() != nil {
+						continue // ±Inf edges have no wire form
+					}
+					n++
+					body, err := in.File.Marshal()
+					if err != nil {
+						t.Fatal(err)
+					}
+					status, got, raw, _ := postSpec(t, ts.URL, string(body))
+					if status != http.StatusOK {
+						t.Fatalf("%s: status %d: %s", in, status, raw)
+					}
+					p, err := in.File.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.Solve(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Cost != want.Cost {
+						t.Errorf("%s: served cost %v, direct cost %v", in, got.Cost, want.Cost)
+					}
+					if got.Class != want.Class.String() {
+						t.Errorf("%s: class %q, want %q", in, got.Class, want.Class)
+					}
+					if !slices.Equal(got.Path, want.Path) || got.Ordering != want.Ordering {
+						t.Errorf("%s: path %v ordering %q, want %v %q",
+							in, got.Path, got.Ordering, want.Path, want.Ordering)
+					}
+				}
+			}
+		})
 	}
 }
 

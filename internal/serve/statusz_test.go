@@ -68,10 +68,8 @@ func TestStatuszSchema(t *testing.T) {
 	if st.Cache.Len != 1 || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Errorf("cache counters %+v, want len=1 hits=1 misses=1", st.Cache)
 	}
-	// Chains execute through the batch kernel, so the calibrated rate
-	// lives under the execution path's kind.
-	if st.Admit.Rates["chain-batch"] <= 0 {
-		t.Errorf("chain-batch rate uncalibrated after a solve: %v", st.Admit.Rates)
+	if st.Admit.Rates["chain"] <= 0 {
+		t.Errorf("chain rate uncalibrated after a solve: %v", st.Admit.Rates)
 	}
 }
 
@@ -170,9 +168,7 @@ func TestDeadlineHeaderHonoredByAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, cycles := EstimateCostFile(f)
-	// The request executes on the chain batch kernel, so admission prices
-	// it against the "chain-batch" rate.
-	s.admit.setRate("chain-batch", cycles) // 1 second predicted
+	s.admit.setRate("chain", cycles) // 1 second predicted
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve", strings.NewReader(body))
 	req.Header.Set(DeadlineHeader, "50")

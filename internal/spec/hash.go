@@ -35,6 +35,18 @@ func (f *File) Canonical() *File {
 	case "dtw":
 		c.X = f.X
 		c.Y = f.Y
+	case "align":
+		c.X = f.X
+		c.Y = f.Y
+		c.GapOpen = f.GapOpen
+		c.GapExtend = f.GapExtend
+	case "viterbi":
+		c.Values = f.Values
+		c.Costs = f.Costs
+	case "knapsack":
+		c.Proc = f.Proc
+		c.Due = f.Due
+		c.Weights = f.Weights
 	default:
 		// Unknown kinds keep everything so distinct inputs stay distinct.
 		cc := *f

@@ -94,3 +94,65 @@ func TestHashCanonicalization(t *testing.T) {
 		t.Errorf("different problems must hash differently")
 	}
 }
+
+// goldenSpecs is one clean spec per kind with its cache key. The keys
+// are pinned: a change to Canonical, Marshal or the File layout that
+// moves any of them would orphan every cached answer and every key a
+// routing tier has placed on its ring.
+var goldenSpecs = []struct{ spec, hash string }{
+	{`{"problem":"graph","design":1,"costs":[[[1,2,3]],[[4,5,6],[7,8,9],[1,1,1]],[[2],[3],[4]]]}`,
+		"eecff867558847516e592b69a606f313ffab3d0b823e7ceaf9217f4541a33daf"},
+	{`{"problem":"nodevalued","values":[[0,10],[5,20],[5,0]],"cost":"absdiff"}`,
+		"1ff1e0441d126cb566ed87aabd1e24819e8363c1bb8c267e56b3c05801a71141"},
+	{`{"problem":"chain","dims":[30,35,15,5,10,20,25]}`,
+		"bc773378b940b94aeb09bab06ca4ea1651bdac0f11ba272799b8756fb4899299"},
+	{`{"problem":"nonserial","domains":[[1,2],[1,2],[1,2],[1,2]],"cost":"span"}`,
+		"a84863301160907a4f1db7532a652d76651352e326c4522996fb7062b80ac446"},
+	{`{"problem":"dtw","x":[0,1,2.5,3],"y":[0,1,1,2,3]}`,
+		"11e8a1079a1e6c514c7fc03a7cf4ebe89d1aad6786ccb62a4fe5cc33b13f3e8b"},
+	{`{"problem":"align","x":[0,1,2.5],"y":[1,2],"gapopen":3,"gapext":1}`,
+		"8967bceee40c3b53e7ffcc00cc2bf5aa43afc8958e91ea78d13ebf9eacdf64cd"},
+	{`{"problem":"viterbi","values":[[1,2],[3,4],[5,6]],"costs":[[[1,2],[3,4]],[[5,6],[7,8]]]}`,
+		"079927854caeac542f695c463fa67f5348a852bf5fa481e8c39dc9e43b77c089"},
+	{`{"problem":"knapsack","proc":[2,3,1],"due":[3,5,4],"weights":[4,2.5,5]}`,
+		"5ed5dfb3f261e0ba260f603edb99732ced0540090ce4c9e5d433b7510dc6b105"},
+}
+
+func TestHashGolden(t *testing.T) {
+	for _, g := range goldenSpecs {
+		f, err := Decode([]byte(g.spec))
+		if err != nil {
+			t.Fatalf("%s: %v", g.spec, err)
+		}
+		if _, err := f.Build(); err != nil {
+			t.Fatalf("%s: %v", g.spec, err)
+		}
+		if got, err := f.Hash(); err != nil || got != g.hash {
+			t.Errorf("%s: hash %s (%v), want %s", f.Problem, got, err, g.hash)
+		}
+	}
+}
+
+// A field the kind's Build never reads must not give the same problem a
+// second cache key, for the kinds that reuse other kinds' wire fields.
+func TestHashIgnoresStrayFields(t *testing.T) {
+	for _, c := range []struct{ clean, stray string }{
+		{goldenSpecs[5].spec, `{"problem":"align","x":[0,1,2.5],"y":[1,2],"gapopen":3,"gapext":1,"dims":[2,3],"cost":"span"}`},
+		{goldenSpecs[6].spec, `{"problem":"viterbi","design":2,"cost":"absdiff","values":[[1,2],[3,4],[5,6]],"costs":[[[1,2],[3,4]],[[5,6],[7,8]]]}`},
+		{goldenSpecs[7].spec, `{"problem":"knapsack","proc":[2,3,1],"due":[3,5,4],"weights":[4,2.5,5],"x":[1],"gapopen":2}`},
+	} {
+		a, err := Decode([]byte(c.clean))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Decode([]byte(c.stray))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ha, _ := a.Hash()
+		hb, _ := b.Hash()
+		if ha != hb {
+			t.Errorf("%s: stray field changed the cache key: %s vs %s", a.Problem, ha, hb)
+		}
+	}
+}
