@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dpsolve -problem graph -stages 8 -values 5 -design 1        # multistage shortest path
-//	dpsolve -problem traffic -stages 10 -values 6               # Section 2.2 workload on Design 3
+//	dpsolve -problem traffic -stages 10 -values 6               # Section 2.2 node-valued workload
 //	dpsolve -problem chain -dims 30,35,15,5,10,20,25            # matrix-chain ordering
 //	dpsolve -problem nonserial -stages 5 -values 3              # ternary chain via grouping
 //	dpsolve -problem table1                                     # print Table 1

@@ -62,9 +62,9 @@ var inf = math.Inf(1)
 //   - Ix: x_i aligned to a gap — extend an x-gap (Ext) or open one (oe);
 //   - Iy: y_j aligned to a gap, the mirror image.
 func interior(sub, dM, dIx, dIy, uM, uIx, uIy, lM, lIx, lIy, oe, ext float64) (m, ix, iy float64) {
-	m = sub + math.Min(dM, math.Min(dIx, dIy))
-	ix = math.Min(uM+oe, math.Min(uIx+ext, uIy+oe))
-	iy = math.Min(lM+oe, math.Min(lIy+ext, lIx+oe))
+	m = sub + min(dM, dIx, dIy)
+	ix = min(uM+oe, uIx+ext, uIy+oe)
+	iy = min(lM+oe, lIy+ext, lIx+oe)
 	return
 }
 
@@ -90,7 +90,7 @@ func Sequential(x, y []float64, p Params) (float64, error) {
 	cM[0], cX[0], cY[0] = 0, inf, inf
 	for j := 1; j <= m; j++ {
 		cM[j], cX[j] = inf, inf
-		cY[j] = math.Min(cM[j-1]+oe, math.Min(cY[j-1]+p.Ext, cX[j-1]+oe))
+		cY[j] = min(cM[j-1]+oe, cY[j-1]+p.Ext, cX[j-1]+oe)
 	}
 	for i := 1; i <= n; i++ {
 		pM, cM = cM, pM
@@ -98,7 +98,7 @@ func Sequential(x, y []float64, p Params) (float64, error) {
 		pY, cY = cY, pY
 		// Column 0: the empty-y boundary. Only Ix (gap run over x) is live.
 		cM[0], cY[0] = inf, inf
-		cX[0] = math.Min(pM[0]+oe, math.Min(pX[0]+p.Ext, pY[0]+oe))
+		cX[0] = min(pM[0]+oe, pX[0]+p.Ext, pY[0]+oe)
 		for j := 1; j <= m; j++ {
 			s := sub(x[i-1], y[j-1])
 			cM[j], cX[j], cY[j] = interior(s,
@@ -108,5 +108,5 @@ func Sequential(x, y []float64, p Params) (float64, error) {
 				oe, p.Ext)
 		}
 	}
-	return math.Min(cM[m], math.Min(cX[m], cY[m])), nil
+	return min(cM[m], cX[m], cY[m]), nil
 }

@@ -515,8 +515,9 @@ func sanitizeWeight(s semiring.Semiring, w float64) float64 {
 }
 
 // checkNodeValued is the Design-3 oracle: the elimination baseline, the
-// expanded-graph baseline, and the feedback array under every runner
-// must agree on cost and produce mutually optimal paths.
+// expanded-graph baseline, the feedback array under every runner (uniform
+// instances only) and the served spec must agree on cost, and the array
+// and the served answer must return the sweep's path.
 func (c *checker) checkNodeValued(workers []int) {
 	name := c.inst.File.Cost
 	if name == "" {
@@ -535,6 +536,35 @@ func (c *checker) checkNodeValued(workers []int) {
 	for _, s := range []semiring.Comparative{semiring.MinPlus{}, semiring.MaxPlus{}} {
 		c.checkNodeValuedSemiring(p, s, workers)
 	}
+	// The serving wire path: core.Solve must return the min-plus sweep's
+	// cost bit for bit and its path index by index.
+	if sol := c.solveSpec("nv"); sol != nil {
+		base := p.SolvePath(semiring.MinPlus{})
+		c.cmpScalar("result", "nv-baseline vs spec-roundtrip", base.Cost, sol.Cost)
+		c.cmpInts("path", "nv-baseline vs spec-roundtrip", base.Nodes, sol.Path)
+	}
+}
+
+// solveSpec drives the serving wire path for the instance: marshal its
+// spec, re-parse it and solve it through core.Solve. A failing step is
+// recorded as a mismatch under prefix and yields nil.
+func (c *checker) solveSpec(prefix string) *core.Solution {
+	data, err := c.inst.File.Marshal()
+	if err != nil {
+		c.addf("result", prefix+"-spec-marshal", "%v", err)
+		return nil
+	}
+	p, err := spec.Parse(data)
+	if err != nil {
+		c.addf("result", prefix+"-spec-parse", "%v", err)
+		return nil
+	}
+	sol, err := core.Solve(p)
+	if err != nil {
+		c.addf("result", prefix+"-core-solve", "%v", err)
+		return nil
+	}
+	return sol
 }
 
 // pathObjective recomputes the node-valued objective along a path of
@@ -568,6 +598,10 @@ func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.C
 	c.cmpScalar("result", "nv-baseline vs elimination ("+srName+")", base.Cost, p.Solve(s))
 	expanded := multistage.SolveOptimal(s, p.Expand())
 	c.cmpScalar("result", "nv-baseline vs expanded-graph ("+srName+")", base.Cost, expanded.Cost)
+	// Design 3's array needs the same number of values in every stage.
+	if _, uniform := p.Uniform(); !uniform {
+		return
+	}
 
 	build := func() (*fbarray.Array, error) { return fbarray.NewSemiring(s, p) }
 	a, err := build()
@@ -633,6 +667,7 @@ func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.C
 			c.cmpScalar("path", r.name+" cost vs objective(path)", r.res.Cost, obj)
 		}
 	}
+	c.cmpInts("path", "nv-baseline vs "+runs[0].name, base.Nodes, runs[0].res.Path)
 	for _, r := range runs[1:] {
 		c.cmpInts("busy", runs[0].name+" vs "+r.name, runs[0].res.Busy, r.res.Busy)
 		c.cmpInts("path", runs[0].name+" vs "+r.name, runs[0].res.Path, r.res.Path)

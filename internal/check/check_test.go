@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"systolicdp/internal/spec"
 )
 
 // The central property: every engine/design combination agrees on every
@@ -151,6 +153,30 @@ func TestMinimizeShrinksInjectedFailure(t *testing.T) {
 	}
 	if !strings.Contains(out.Label, "minimized") {
 		t.Errorf("label %q not marked minimized", out.Label)
+	}
+}
+
+// The node-valued shrinker must take ragged stages (the generator draws
+// them) without indexing past a short stage, and still shrink them.
+func TestMinimizeShrinksRaggedNodeValued(t *testing.T) {
+	in := &Instance{File: spec.File{Problem: "nodevalued",
+		Values: [][]float64{{1, 2, 3, 4}, {5}, {6, 7}, {8, 9, 10}}}}
+	has7 := func(c *Instance) bool {
+		for _, vs := range c.File.Values {
+			for _, v := range vs {
+				if v == 7 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	out := minimizeWith(in, has7)
+	if !has7(out) {
+		t.Fatal("minimizer lost the failure")
+	}
+	if got := instSize(out); got != 2 {
+		t.Errorf("minimized instance has %d values, want 2 (two one-value stages)\n%s", got, Reproducer(out))
 	}
 }
 

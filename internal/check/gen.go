@@ -219,26 +219,38 @@ func genGraph(rng *rand.Rand, cfg GenConfig) *Instance {
 	return &Instance{File: *f, Semiring: srName, Label: label}
 }
 
+// genNodeValued produces a node-valued instance. A quarter are ragged
+// (stage sizes drawn independently): Design 3's array rejects them and
+// core.Solve's sequential sweep serves them.
 func genNodeValued(rng *rand.Rand, cfg GenConfig) *Instance {
 	n := 2 + rng.Intn(cfg.MaxStages-1)
 	m := 1 + rng.Intn(cfg.MaxM)
 	if rng.Intn(8) == 0 {
 		m = 1
 	}
+	ragged := rng.Intn(4) == 0
 	names := costNames(spec.PairCosts())
 	name := names[rng.Intn(len(names))]
 	// Keep values small: quadratic squares them and rise multiplies by 5;
 	// small integers keep every engine sum exact.
 	values := make([][]float64, n)
 	for k := range values {
-		values[k] = make([]float64, m)
+		mk := m
+		if ragged {
+			mk = 1 + rng.Intn(cfg.MaxM)
+		}
+		values[k] = make([]float64, mk)
 		for i := range values[k] {
 			values[k][i] = float64(rng.Intn(101) - 50)
 		}
 	}
+	label := fmt.Sprintf("n=%d m=%d cost=%s", n, m, name)
+	if ragged {
+		label = fmt.Sprintf("n=%d ragged cost=%s", n, name)
+	}
 	return &Instance{
 		File:  spec.File{Problem: "nodevalued", Values: values, Cost: name},
-		Label: fmt.Sprintf("n=%d m=%d cost=%s", n, m, name),
+		Label: label,
 	}
 }
 

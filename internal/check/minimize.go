@@ -135,14 +135,20 @@ func shrinkNodeValued(in *Instance) []*Instance {
 			out = append(out, c)
 		}
 	}
-	if len(vals) > 0 && len(vals[0]) > 1 {
-		for j := range vals[0] {
-			c := cloneInstance(in)
-			for k := range c.File.Values {
-				c.File.Values[k] = append(c.File.Values[k][:j], c.File.Values[k][j+1:]...)
+	// Drop value j from every stage that has it and at least one other,
+	// so uniform instances stay uniform and ragged ones shrink too.
+	widest := 0
+	for _, vs := range vals {
+		widest = max(widest, len(vs))
+	}
+	for j := 0; widest > 1 && j < widest; j++ {
+		c := cloneInstance(in)
+		for k, vs := range c.File.Values {
+			if j < len(vs) && len(vs) > 1 {
+				c.File.Values[k] = append(vs[:j], vs[j+1:]...)
 			}
-			out = append(out, c)
 		}
+		out = append(out, c)
 	}
 	out = append(out, zeroOne2(in, func(c *Instance) [][]float64 { return c.File.Values })...)
 	return out

@@ -11,12 +11,10 @@ import (
 	"fmt"
 
 	"systolicdp/internal/align"
-	"systolicdp/internal/core"
 	"systolicdp/internal/fbarray"
 	"systolicdp/internal/knapsack"
 	"systolicdp/internal/multistage"
 	"systolicdp/internal/semiring"
-	"systolicdp/internal/spec"
 	"systolicdp/internal/viterbi"
 )
 
@@ -36,33 +34,16 @@ func (c *checker) checkAlign() {
 	if err == nil {
 		c.cmpScalar("result", "align(x,y) vs align(y,x) symmetry", seq, sym)
 	}
-	c.checkAlignRoundTrip(seq)
-}
-
-func (c *checker) checkAlignRoundTrip(seq float64) {
-	data, err := c.inst.File.Marshal()
-	if err != nil {
-		c.addf("result", "align-spec-marshal", "%v", err)
-		return
+	if sol := c.solveSpec("align"); sol != nil {
+		c.cmpScalar("result", "align-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
-	p, err := spec.Parse(data)
-	if err != nil {
-		c.addf("result", "align-spec-parse", "%v", err)
-		return
-	}
-	sol, err := core.Solve(p)
-	if err != nil {
-		c.addf("result", "align-core-solve", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "align-sequential vs spec-roundtrip", seq, sol.Cost)
 }
 
 // checkViterbi cross-checks the trellis: the sequential sweep, the
 // Design-3 staged elimination, the expanded-graph baseline, the
 // feedback array under every runner, the path-cost re-derivation
 // invariant, and the serving wire path. Non-uniform and single-stage
-// trellises exercise the fallbacks.
+// trellises skip the array.
 func (c *checker) checkViterbi(workers []int) {
 	tr := &viterbi.Trellis{Node: c.inst.File.Values, Trans: c.inst.File.Costs}
 	if err := tr.Validate(); err != nil {
@@ -96,7 +77,10 @@ func (c *checker) checkViterbi(workers []int) {
 			c.checkViterbiArray(tr, seq, path, workers)
 		}
 	}
-	c.checkViterbiRoundTrip(seq, path)
+	if sol := c.solveSpec("vit"); sol != nil {
+		c.cmpScalar("result", "vit-sequential vs spec-roundtrip", seq, sol.Cost)
+		c.cmpInts("path", "vit-sequential vs spec-roundtrip", path, sol.Path)
+	}
 }
 
 func (c *checker) checkViterbiArray(tr *viterbi.Trellis, seq float64, path []int, workers []int) {
@@ -143,26 +127,6 @@ func (c *checker) checkViterbiArray(tr *viterbi.Trellis, seq float64, path []int
 			c.cmpInts("path", "vit-fb-lockstep vs vit-fb-goroutines", res.Path, gres.Path)
 		}
 	}
-}
-
-func (c *checker) checkViterbiRoundTrip(seq float64, path []int) {
-	data, err := c.inst.File.Marshal()
-	if err != nil {
-		c.addf("result", "vit-spec-marshal", "%v", err)
-		return
-	}
-	p, err := spec.Parse(data)
-	if err != nil {
-		c.addf("result", "vit-spec-parse", "%v", err)
-		return
-	}
-	sol, err := core.Solve(p)
-	if err != nil {
-		c.addf("result", "vit-core-solve", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "vit-sequential vs spec-roundtrip", seq, sol.Cost)
-	c.cmpInts("path", "vit-sequential vs spec-roundtrip", path, sol.Path)
 }
 
 // checkKnapsack cross-checks the Lawler-Moore DP: the in-place
@@ -215,20 +179,7 @@ func (c *checker) checkKnapsack() {
 		}
 		prev = v
 	}
-	data, err := f.Marshal()
-	if err != nil {
-		c.addf("result", "ks-spec-marshal", "%v", err)
-		return
+	if sol := c.solveSpec("ks"); sol != nil {
+		c.cmpScalar("result", "ks-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
-	p, err := spec.Parse(data)
-	if err != nil {
-		c.addf("result", "ks-spec-parse", "%v", err)
-		return
-	}
-	sol, err := core.Solve(p)
-	if err != nil {
-		c.addf("result", "ks-core-solve", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "ks-sequential vs spec-roundtrip", seq, sol.Cost)
 }

@@ -10,7 +10,6 @@ import (
 
 	"systolicdp/internal/bcastarray"
 	"systolicdp/internal/dnc"
-	"systolicdp/internal/fbarray"
 	"systolicdp/internal/matchain"
 	"systolicdp/internal/matrix"
 	"systolicdp/internal/multistage"
@@ -150,7 +149,9 @@ func (p *MultistageProblem) Describe() string {
 }
 
 // NodeValuedProblem is a monadic-serial problem in the node-valued form of
-// equation (4), solved on the Design-3 feedback array.
+// equation (4), Design 3's input. Solve serves it with NodeValued.SolvePath,
+// which evaluates the array's h + f terms with its strict-< tie rule and
+// so returns the array's cost and path bit for bit on finite sums.
 type NodeValuedProblem struct {
 	Problem *multistage.NodeValued
 }
@@ -247,11 +248,11 @@ func Solve(p Problem) (*Solution, error) {
 			return nil, fmt.Errorf("core: unknown design %d", q.Design)
 		}
 	case *NodeValuedProblem:
-		res, err := fbarray.Solve(q.Problem)
-		if err != nil {
+		if err := q.Problem.Validate(); err != nil {
 			return nil, err
 		}
-		sol.Cost, sol.Path = res.Cost, res.Path
+		path := q.Problem.SolvePath(mp)
+		sol.Cost, sol.Path = path.Cost, path.Nodes
 	case *MatrixStringProblem:
 		workers := q.Workers
 		if workers < 1 {
@@ -293,11 +294,13 @@ func Solve(p Problem) (*Solution, error) {
 		}
 		sol.Cost = res.Cost
 	case *ViterbiProblem:
-		res, err := solveViterbi(q)
+		// Uniform or ragged, the sweep evaluates the feedback array's
+		// h + EdgeCost terms with its tie rule: the array's answer.
+		cost, path, err := q.Trellis.Sequential()
 		if err != nil {
 			return nil, err
 		}
-		sol.Cost, sol.Path = res.Cost, res.Path
+		sol.Cost, sol.Path = cost, path
 	case *KnapsackProblem:
 		res, err := solveKnapsack(q)
 		if err != nil {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"systolicdp/internal/align"
-	"systolicdp/internal/fbarray"
 	"systolicdp/internal/knapsack"
-	"systolicdp/internal/semiring"
 	"systolicdp/internal/viterbi"
 )
 
@@ -40,7 +38,8 @@ func solveAlign(p *AlignProblem) (*Solution, error) {
 // ViterbiProblem is the trellis path DP with node and transition costs,
 // the monadic-serial problem Design 3's node-valued feedback array
 // solves: states play the role of quantized values and the staged cost
-// function folds node costs into the edges.
+// function folds node costs into the edges. Solve serves it with the
+// sequential sweep, not the cycle-stepped array.
 type ViterbiProblem struct {
 	Trellis *viterbi.Trellis
 }
@@ -51,35 +50,6 @@ func (p *ViterbiProblem) Classify() Class { return Class{Monadic, Serial} }
 // Describe names the problem.
 func (p *ViterbiProblem) Describe() string {
 	return fmt.Sprintf("viterbi trellis (%d stages), Design 3 feedback array", p.Trellis.Stages())
-}
-
-func solveViterbi(p *ViterbiProblem) (*Solution, error) {
-	if err := p.Trellis.Validate(); err != nil {
-		return nil, err
-	}
-	sol := &Solution{Class: p.Classify(), Method: Recommend(p.Classify()).Method}
-	// The feedback array needs Design 3's regularity: a uniform trellis
-	// with at least one transition. Non-uniform or single-stage trellises
-	// take the sequential sweep — bitwise identical either way (the
-	// differential checker pins all engines to Sequential).
-	if _, uniform := p.Trellis.Uniform(); uniform && p.Trellis.Stages() >= 2 {
-		arr, err := fbarray.NewStaged(semiring.MinPlus{}, p.Trellis.Staged())
-		if err != nil {
-			return nil, err
-		}
-		res, err := arr.Run(false)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost, sol.Path = res.Cost, res.Path
-		return sol, nil
-	}
-	cost, path, err := p.Trellis.Sequential()
-	if err != nil {
-		return nil, err
-	}
-	sol.Cost, sol.Path = cost, path
-	return sol, nil
 }
 
 // KnapsackProblem is the weighted-deadline scheduling DP 1||Σ w_j U_j:

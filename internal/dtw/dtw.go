@@ -51,7 +51,7 @@ func Sequential(x, y []float64, d Dist) (float64, error) {
 			case j == 0:
 				cur[j] = c + prev[j]
 			default:
-				cur[j] = c + math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
+				cur[j] = c + min(prev[j], cur[j-1], prev[j-1])
 			}
 		}
 		prev, cur = cur, prev
@@ -87,7 +87,7 @@ func (p *pe) Step(in []systolic.Token) ([]systolic.Token, bool) {
 	diag := p.lastInW
 	left := tok.W
 	up := p.prevOwn
-	best := math.Min(up, math.Min(left, diag))
+	best := min(up, left, diag)
 	if math.IsInf(best, 1) {
 		best = 0 // the (0,0) corner starts the lattice
 	}

@@ -18,15 +18,15 @@ package dtw
 //     independent — the same wavefront the paper's array exploits — and
 //     large lattices fan the diagonal across the shared tile.Pool.
 //
-// Every cell evaluates EXACTLY Sequential's float64 expression (same
-// math.Min nesting, same boundary cases) in a dependency-respecting
-// order; DTW's min-plus recurrence has no cross-cell reassociation, so
-// results are bitwise identical to Sequential at every tile size. The
-// differential checker pins this at T ∈ {1, 7, 64, full}.
+// Every cell evaluates EXACTLY Sequential's float64 expression (the same
+// builtin min over the same three neighbours, same boundary cases) in a
+// dependency-respecting order; DTW's min-plus recurrence has no
+// cross-cell reassociation, so results are bitwise identical to
+// Sequential at every tile size. The differential checker pins this at
+// T ∈ {1, 7, 64, full}.
 
 import (
 	"fmt"
-	"math"
 
 	"systolicdp/internal/arena"
 	"systolicdp/internal/tile"
@@ -250,7 +250,7 @@ func dtwTile[M Metric](x, y []float64, met M, T, I, J int, hb, vb, buf []float64
 					left = vbPrev[i0]
 					diag = hbPrev[j0-1]
 				}
-				v = c + math.Min(up, math.Min(left, diag))
+				v = c + min(up, left, diag)
 			}
 			cur[0] = v
 			if h == 1 {
@@ -271,7 +271,7 @@ func dtwTile[M Metric](x, y []float64, met M, T, I, J int, hb, vb, buf []float64
 				up := prev[ii-1]
 				left := vbPrev[i0+ii]
 				diag := vbPrev[i0+ii-1] // D(i-1, j0-1): west border, one row up
-				v = c + math.Min(up, math.Min(left, diag))
+				v = c + min(up, left, diag)
 			}
 			cur[ii] = v
 			if ii == h-1 {
@@ -285,7 +285,7 @@ func dtwTile[M Metric](x, y []float64, met M, T, I, J int, hb, vb, buf []float64
 			// Pure interior: both neighbours inside the tile's previous
 			// diagonals. jj = t - ii >= 1 and ii >= 1 here.
 			c := met.Dist(xs[ii], ys[t-ii])
-			v := c + math.Min(prev[ii-1], math.Min(prev[ii], prev2[ii-1]))
+			v := c + min(prev[ii-1], prev[ii], prev2[ii-1])
 			cur[ii] = v
 			if ii == h-1 {
 				hbOut[j0+t-ii] = v

@@ -247,7 +247,7 @@ func simulate(dims []int, base float64, transfer func(a, s int) float64) (*Timin
 			best := math.Inf(1)
 			for k := i; k < j; k++ {
 				a, b := k-i+1, j-k
-				r := math.Max(done[i][k]+transfer(a, s), done[k+1][j]+transfer(b, s))
+				r := max(done[i][k]+transfer(a, s), done[k+1][j]+transfer(b, s))
 				readies = append(readies, r)
 				if c := cost[i][k] + cost[k+1][j] + float64(dims[i]*dims[k+1]*dims[j+1]); c < best {
 					best = c

@@ -425,7 +425,7 @@ func DefaultG(a, b, c float64) float64 {
 // SpanG is the range of the three values, max - min: the "span" cost of
 // the spec vocabulary.
 func SpanG(a, b, c float64) float64 {
-	hi := math.Max(a, math.Max(b, c))
-	lo := math.Min(a, math.Min(b, c))
+	hi := max(a, b, c)
+	lo := min(a, b, c)
 	return hi - lo
 }

@@ -78,14 +78,14 @@ func (p *streamPE) Step(in []systolic.Token) ([]systolic.Token, bool) {
 	}
 	e := ph.feed[p.i][j]
 	if !ph.typeY {
-		p.a = math.Min(p.a, e+mov.V)
+		p.a = min(p.a, e+mov.V)
 		if j == p.m-1 {
 			p.r = p.a
 			p.a = math.Inf(1)
 		}
 		return []systolic.Token{mov}, true
 	}
-	mov.V = math.Min(mov.V, e+p.r)
+	mov.V = min(mov.V, e+p.r)
 	return []systolic.Token{mov}, true
 }
 

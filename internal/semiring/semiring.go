@@ -52,8 +52,10 @@ type Comparative interface {
 // Zero=+inf, One=0. It solves minimum-cost path problems.
 type MinPlus struct{}
 
-// Add returns min(a, b).
-func (MinPlus) Add(a, b float64) float64 { return math.Min(a, b) }
+// Add returns min(a, b). The builtin min inlines where math.Min is a call
+// on amd64; the two differ only on a NaN meeting -Inf (NaN here, -Inf in
+// math.Min), and a NaN is outside the semiring.
+func (MinPlus) Add(a, b float64) float64 { return min(a, b) }
 
 // Mul returns a + b, with the convention that anything plus +inf is +inf.
 func (MinPlus) Mul(a, b float64) float64 { return a + b }
@@ -75,8 +77,8 @@ func (MinPlus) Better(a, b float64) bool { return a < b }
 // maximise or minimise; see Section 2).
 type MaxPlus struct{}
 
-// Add returns max(a, b).
-func (MaxPlus) Add(a, b float64) float64 { return math.Max(a, b) }
+// Add returns max(a, b), the builtin (see MinPlus.Add).
+func (MaxPlus) Add(a, b float64) float64 { return max(a, b) }
 
 // Mul returns a + b.
 func (MaxPlus) Mul(a, b float64) float64 { return a + b }

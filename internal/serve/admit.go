@@ -68,7 +68,7 @@ func EstimateCost(p core.Problem) (kind string, cycles float64) {
 		}
 		return "graph", total
 	case *core.NodeValuedProblem:
-		// Design 3: (N+1)·m iterations over m² candidate transitions per
+		// The elimination sweep relaxes |N_k|·|N_k+1| transitions per
 		// stage pair — count the pairwise comparisons.
 		vs := q.Problem.Values
 		total := 0.0

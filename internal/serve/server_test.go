@@ -19,6 +19,8 @@ import (
 
 	"systolicdp/internal/check"
 	"systolicdp/internal/core"
+	"systolicdp/internal/multistage"
+	"systolicdp/internal/semiring"
 	"systolicdp/internal/spec"
 )
 
@@ -114,6 +116,29 @@ func TestServeMatchesDirectSolve(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A ragged node-valued spec (stages of different sizes) is valid and is
+// served by the elimination sweep like a uniform one; it must not reach a
+// path that needs Design 3's uniform stages and fail with a 500.
+func TestServeRaggedNodeValued(t *testing.T) {
+	s := New(Config{CacheSize: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	status, got, raw, _ := postSpec(t, ts.URL, `{"problem":"nodevalued","values":[[1,2,3],[4,5]]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	p := &multistage.NodeValued{Values: [][]float64{{1, 2, 3}, {4, 5}}, F: multistage.AbsDiff}
+	want := p.SolvePath(semiring.MinPlus{})
+	if got.Cost != want.Cost || !slices.Equal(got.Path, want.Nodes) {
+		t.Errorf("served (%v, %v), want (%v, %v)", got.Cost, got.Path, want.Cost, want.Nodes)
+	}
+	if n := s.Metrics().Errors.Value(); n != 0 {
+		t.Errorf("errors = %d, want 0", n)
 	}
 }
 
