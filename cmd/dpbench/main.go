@@ -8,11 +8,10 @@
 //	dpbench -quick                     # CI smoke (~50ms per benchmark)
 //
 // The report records baseline and fast ns/op, the speedup, and the fast
-// path's allocs/op for each kind with a fast path (dtw, chain,
-// nonserial). Baselines are the interface-typed single-processor
-// engines (dtw.Sequential, matchain.DP, nonserial.Eliminate) — the same
-// references the differential checker diffs bitwise, so the speedups
-// are for identical answers.
+// path's allocs/op for each kind with a fast path (chain, nonserial).
+// Baselines are the single-processor reference engines (matchain.DP,
+// nonserial.Eliminate) — the same references the differential checker
+// diffs bitwise, so the speedups are for identical answers.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"os"
 	"testing"
 
-	"systolicdp/internal/dtw"
 	"systolicdp/internal/matchain"
 	"systolicdp/internal/nonserial"
 )
@@ -87,25 +85,6 @@ func main() {
 		fmt.Printf("%-12s %-14s baseline %10.0f ns/op   fast %10.0f ns/op   %.2fx   %g allocs/op\n",
 			kind, shape, kr.BaselineNs, kr.FastNs, kr.Speedup, kr.FastAllocs)
 	}
-
-	// DTW single solve: 256×256 lattice.
-	x, y := series(256), series(256)
-	add("dtw", "256x256",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dtw.Sequential(x, y, dtw.AbsDist); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dtw.SolveFast(x, y, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
-		func() { _, _ = dtw.SolveFast(x, y, nil) })
 
 	// Chain ordering: 24-matrix product.
 	dims := make([]int, 25)

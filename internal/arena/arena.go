@@ -1,9 +1,12 @@
-// Package arena provides reusable per-shape solve workspaces for the
-// zero-allocation hot path: sync.Pool sets keyed by the same shape
-// buckets the serving batcher groups requests under, so a replica that
-// sees a steady stream of same-shape solves (the common case — clients
-// resubmit one problem family) touches the allocator only on the first
-// request of each shape.
+// Package arena holds the grow-in-place helpers and the poisoning
+// discipline for the zero-allocation hot path. Each kernel that reuses
+// per-solve storage (matchain.SolveFast, nonserial.EliminateFast,
+// knapsack.Lockstep) keeps one package-level sync.Pool of workspaces
+// and grows a checked-out workspace to the current problem with Floats
+// and Ints, so a replica touches the allocator only when a problem
+// outgrows every pooled workspace. A workspace grown for a large problem
+// is reused for a smaller one with stale cells from the old layout, so
+// every kernel writes each cell before it reads it.
 //
 // # Poisoning discipline
 //
@@ -11,68 +14,20 @@
 // solve. If the solve panics, is cancelled, or errors after partially
 // writing the workspace, the checkout must simply not be returned: the
 // buffer is dropped and the garbage collector reclaims it. Returning a
-// workspace from a failure path is a poisoning bug — the next solve of
-// a colliding shape would alias half-written state while the panicking
-// goroutine's deferred handlers may still hold the same backing arrays.
-// The kernel call sites therefore follow the pattern
+// workspace from a failure path is a poisoning bug — the next solve
+// would alias half-written state while the panicking goroutine's
+// deferred handlers may still hold the same backing arrays. The kernel
+// call sites therefore follow the pattern
 //
-//	ws := pool.Get(key)
+//	ws := pool.Get().(*workspace)
 //	v := solve(..., ws)   // may panic
-//	pool.Put(key, ws)     // reached only on clean completion
+//	pool.Put(ws)          // reached only on clean completion
 //	return v
 //
 // with NO deferred Put: a panic unwinds past the Put and the workspace
 // is garbage, exactly as required. TestPoisonedWorkspaceDropped in this
 // package pins the discipline under the race detector.
 package arena
-
-import "sync"
-
-// Keyed is a set of sync.Pools, one per shape key. K is any comparable
-// shape descriptor — small structs of dimensions, not formatted strings,
-// so that Get/Put themselves allocate nothing on the steady-state path.
-type Keyed[K comparable, T any] struct {
-	newT  func() T
-	mu    sync.RWMutex
-	pools map[K]*sync.Pool
-}
-
-// NewKeyed builds a keyed pool set; newT constructs a fresh (empty)
-// workspace when a shape's pool is dry.
-func NewKeyed[K comparable, T any](newT func() T) *Keyed[K, T] {
-	return &Keyed[K, T]{newT: newT, pools: make(map[K]*sync.Pool)}
-}
-
-func (a *Keyed[K, T]) pool(key K) *sync.Pool {
-	a.mu.RLock()
-	p := a.pools[key]
-	a.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	a.mu.Lock()
-	if p = a.pools[key]; p == nil {
-		p = &sync.Pool{New: func() any { return a.newT() }}
-		a.pools[key] = p
-	}
-	a.mu.Unlock()
-	return p
-}
-
-// Get checks a workspace out of key's pool, constructing one if the
-// pool is dry. Steady-state (warm pool, known key) it performs no
-// allocations.
-func (a *Keyed[K, T]) Get(key K) T {
-	return a.pool(key).Get().(T)
-}
-
-// Put returns a workspace to key's pool. Call it only on the clean
-// completion path — never from a deferred handler that also runs on
-// panic, and never for a workspace whose solve was abandoned midway
-// (see the package comment on poisoning).
-func (a *Keyed[K, T]) Put(key K, v T) {
-	a.pool(key).Put(v)
-}
 
 // Floats returns buf resliced to length n, reallocating only when the
 // capacity is short. Contents are NOT zeroed: callers own initialization

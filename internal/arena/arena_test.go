@@ -10,37 +10,6 @@ type ws struct {
 	stamp int64
 }
 
-type shape struct{ n, m int }
-
-func TestKeyedReuseAndIsolation(t *testing.T) {
-	p := NewKeyed[shape](func() *ws { return new(ws) })
-	a := p.Get(shape{4, 4})
-	a.stamp = 42
-	p.Put(shape{4, 4}, a)
-	b := p.Get(shape{4, 4})
-	if b != a {
-		t.Fatalf("same-shape Get did not reuse the returned workspace")
-	}
-	// A different shape must never see the other bucket's workspace.
-	c := p.Get(shape{4, 5})
-	if c == a {
-		t.Fatalf("cross-shape Get aliased another bucket's workspace")
-	}
-}
-
-func TestKeyedGetAllocsSteadyState(t *testing.T) {
-	p := NewKeyed[shape](func() *ws { return &ws{buf: make([]float64, 64)} })
-	key := shape{8, 8}
-	p.Put(key, p.Get(key)) // warm the bucket
-	allocs := testing.AllocsPerRun(200, func() {
-		w := p.Get(key)
-		p.Put(key, w)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Get/Put allocates %v objects per op, want 0", allocs)
-	}
-}
-
 func TestGrowHelpers(t *testing.T) {
 	f := Floats(nil, 8)
 	if len(f) != 8 {
@@ -70,15 +39,14 @@ func solveInto(w *ws, id int64, poison bool) {
 }
 
 // TestPoisonedWorkspaceDropped is the arena-recycling poisoning audit:
-// it interleaves panicking solves with clean solves on COLLIDING shape
-// keys under the race detector, following the package's checkout
+// it interleaves panicking solves with clean solves on one shared
+// sync.Pool under the race detector, following the package's checkout
 // pattern (Put only on the clean path). Every workspace observed after
 // a Get must be internally consistent — a poisoned buffer that reached
 // the pool would surface as a torn (stamp, buf) pair or as a data race
 // between the panicking goroutine and the reuser.
 func TestPoisonedWorkspaceDropped(t *testing.T) {
-	pool := NewKeyed[shape](func() *ws { return &ws{buf: make([]float64, 256)} })
-	key := shape{16, 16}
+	pool := sync.Pool{New: func() any { return &ws{buf: make([]float64, 256)} }}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -89,15 +57,15 @@ func TestPoisonedWorkspaceDropped(t *testing.T) {
 				poison := iter%3 == 0
 				func() {
 					defer func() { recover() }() // the serving tier's panic boundary
-					w := pool.Get(key)
+					w := pool.Get().(*ws)
 					solveInto(w, id, poison)
 					// Clean completion only: a panic above skips the Put and
 					// the poisoned workspace is dropped to the GC.
-					pool.Put(key, w)
+					pool.Put(w)
 				}()
 				// Reuse path: whatever the pool hands out must be wholly
 				// written by a single completed solve.
-				w := pool.Get(key)
+				w := pool.Get().(*ws)
 				stamp := w.stamp
 				for i, v := range w.buf {
 					if v != float64(stamp) && stamp != 0 {
@@ -105,7 +73,7 @@ func TestPoisonedWorkspaceDropped(t *testing.T) {
 						return
 					}
 				}
-				pool.Put(key, w)
+				pool.Put(w)
 			}
 		}(g)
 	}

@@ -1,53 +1,17 @@
 package check
 
-// Fast-path oracle: the zero-alloc monomorphized/tiled kernels must be
-// BITWISE identical to the reference engines they replaced on the
-// serving hot path — a tiling or pooling bug that perturbs even the
-// last ulp is a mismatch, not noise. Each per-kind check below is
-// invoked from the corresponding reference check in check.go, so every
-// generated instance (including the degenerate shapes the generator
-// emits) exercises the fast path, at several tile sizes for DTW.
+// Fast-path oracle: the zero-alloc pooled kernels must be BITWISE
+// identical to the reference engines they replaced on the serving hot
+// path — a pooling bug that perturbs even the last ulp is a mismatch,
+// not noise. Each per-kind check below is invoked from the
+// corresponding reference check in check.go, so every generated
+// instance (including the degenerate shapes the generator emits)
+// exercises the fast path.
 
 import (
-	"fmt"
-
-	"systolicdp/internal/dtw"
 	"systolicdp/internal/matchain"
 	"systolicdp/internal/nonserial"
 )
-
-// fastTiles are the tile edges the differential checker sweeps: every
-// cell its own tile, a ragged prime that misaligns all borders, the
-// production default, and one tile swallowing the whole lattice.
-var fastTiles = []int{1, 7, dtw.DefaultTile, 1 << 20}
-
-// checkDTWFast diffs the tiled monomorphized solver against the
-// sequential recurrence at every tile size.
-func (c *checker) checkDTWFast(seq float64) {
-	x, y := c.inst.File.X, c.inst.File.Y
-	fast, err := dtw.SolveFast(x, y, dtw.AbsDist)
-	if err != nil {
-		c.addf("result", "dtw-fast", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "dtw-sequential vs dtw-fast", seq, fast)
-	// nil Dist selects the inlinable AbsMetric op — the serving path's
-	// actual instantiation.
-	op, err := dtw.SolveFast(x, y, nil)
-	if err != nil {
-		c.addf("result", "dtw-fast-op", "%v", err)
-		return
-	}
-	c.cmpScalar("result", "dtw-sequential vs dtw-fast-op", seq, op)
-	for _, T := range fastTiles {
-		got, err := dtw.SolveTiled(x, y, dtw.AbsDist, T)
-		if err != nil {
-			c.addf("result", fmt.Sprintf("dtw-tiled-T%d", T), "%v", err)
-			continue
-		}
-		c.cmpScalar("result", fmt.Sprintf("dtw-sequential vs dtw-tiled-T%d", T), seq, got)
-	}
-}
 
 // checkChainFast diffs the flat pooled chain-ordering DP — cost AND
 // parenthesization — against the table DP.

@@ -228,3 +228,29 @@ func TestMatchBankErrors(t *testing.T) {
 		t.Error("empty template accepted")
 	}
 }
+
+func BenchmarkDTWSequential256(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	x, y := randomSeries(rng, 256), randomSeries(rng, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sequential(x, y, AbsDist); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDTWArray256(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	x, y := randomSeries(rng, 256), randomSeries(rng, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		arr, err := New(y, AbsDist)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := arr.Match(x, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

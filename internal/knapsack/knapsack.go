@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"systolicdp/internal/arena"
 )
@@ -141,17 +142,15 @@ func OnTimeWeight(jobs []Job) (float64, error) {
 	return best, nil
 }
 
-type rowKey struct{ T int }
-
 // workspace is the pooled Lockstep state: the double-buffered DP rows
-// plus a scratch job slice for the EDD reorder, so steady-state
-// same-horizon solves allocate nothing.
+// plus a scratch job slice for the EDD reorder, grown in place, so a
+// solve that fits the pooled capacity allocates nothing.
 type workspace struct {
 	rows [2][]float64
 	jobs []Job
 }
 
-var rowPool = arena.NewKeyed[rowKey](func() *workspace { return new(workspace) })
+var rowPool = sync.Pool{New: func() any { return new(workspace) }}
 
 // eddInto is eddOrder writing into a reusable buffer with the
 // allocation-free generic stable sort — the same order, bitwise the
@@ -169,16 +168,15 @@ func eddInto(buf, jobs []Job) []Job {
 // Lockstep computes the same answer on the systolic mapping: T+1 cell
 // PEs hold the row, each of the n EDD-ordered jobs is broadcast as one
 // wave, and every PE relaxes from the double-buffered pre-wave row in
-// lockstep. Rows come from a shape-keyed arena, so steady-state
-// same-horizon solves allocate nothing. Returns the late weight and the
-// wave (cycle) count n.
+// lockstep. Rows come from a pooled workspace, so a solve whose horizon
+// and job count fit its capacity allocates nothing. Returns the late
+// weight and the wave (cycle) count n.
 func Lockstep(jobs []Job) (float64, int, error) {
 	if err := Validate(jobs); err != nil {
 		return 0, 0, err
 	}
 	T := Horizon(jobs)
-	key := rowKey{T}
-	ws := rowPool.Get(key)
+	ws := rowPool.Get().(*workspace)
 	cur := arena.Floats(ws.rows[0], T+1)
 	next := arena.Floats(ws.rows[1], T+1)
 	ws.jobs = eddInto(ws.jobs, jobs)
@@ -213,6 +211,6 @@ func Lockstep(jobs []Job) (float64, int, error) {
 		}
 	}
 	ws.rows[0], ws.rows[1] = cur, next
-	rowPool.Put(key, ws) // clean completion only (arena poisoning discipline)
+	rowPool.Put(ws) // clean completion only (arena poisoning discipline)
 	return total - best, len(jobs), nil
 }

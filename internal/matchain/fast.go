@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"systolicdp/internal/arena"
 )
@@ -109,25 +110,19 @@ func (f *Flat) Parenthesization() string {
 	return b.String()
 }
 
-type flatKey struct{ n int }
-
-var flatPool = arena.NewKeyed[flatKey](func() *Flat { return new(Flat) })
+var flatPool = sync.Pool{New: func() any { return new(Flat) }}
 
 // SolveFast solves one chain on a pooled flat table and returns the
 // optimal cost and parenthesization — the serving path's single-solve
-// kernel. Only the returned string allocates on a warm same-size pool.
+// kernel. Only the returned string allocates once the pooled table has
+// grown to the chain's length.
 func SolveFast(dims []int) (cost float64, paren string, err error) {
-	n, err := validDims(dims)
-	if err != nil {
-		return 0, "", err
-	}
-	key := flatKey{n}
-	f := flatPool.Get(key)
+	f := flatPool.Get().(*Flat)
 	if err := f.Solve(dims); err != nil {
 		return 0, "", err
 	}
 	cost = f.OptimalCost()
 	paren = f.Parenthesization()
-	flatPool.Put(key, f) // clean completion only (arena discipline)
+	flatPool.Put(f) // clean completion only (arena discipline)
 	return cost, paren, nil
 }

@@ -77,7 +77,7 @@ func EstimateCost(p core.Problem) (kind string, cycles float64) {
 		}
 		return "nodevalued", total + 1
 	case *core.DTWProblem:
-		// The warping lattice has |x|·|y| cells, swept by anti-diagonals.
+		// The warping lattice has |x|·|y| cells, swept row by row.
 		return "dtw", float64(len(q.X)*len(q.Y)) + 1
 	case *core.AlignProblem:
 		// Three affine-gap layers over the boundary-inclusive lattice.

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"systolicdp/internal/tile"
 )
 
 // chainSpec builds a distinct chain-ordering spec; salt perturbs one
@@ -28,9 +26,6 @@ func chainSpec(salt int) string {
 // (429 for the doomed, 200 for the feasible), leave zero backlog, and
 // leak no goroutines after Close.
 func TestStressAdmissionShedUnderRamp(t *testing.T) {
-	// The DTW solves start the process-wide tile pool, whose workers are
-	// resident by design; start it before sampling the baseline.
-	tile.Default()
 	baseline := runtime.NumGoroutine()
 
 	s := New(Config{BatchWindow: -1, Timeout: time.Second, AdmitEnabled: true})
