@@ -79,7 +79,10 @@ func SolveCtx(ctx context.Context, p Problem) (*Solution, error) { return core.S
 // multistage graphs in one streamed Design-1 run — all instances share a
 // single pipeline fill. This is the batch entry point the dpserve
 // micro-batcher flushes through.
-func SolveGraphBatch(gs []*Graph) ([]*Solution, error) { return core.SolveGraphBatch(gs) }
+func SolveGraphBatch(gs []*Graph) ([]*Solution, error) {
+	sols, _, err := core.SolveGraphBatch(gs)
+	return sols, err
+}
 
 // DTW is the dynamic-time-warping problem in classifiable form: Solve
 // routes it to the anti-diagonal systolic array (see DTWDistance).

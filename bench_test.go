@@ -674,75 +674,3 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	benchServe(b, serve.Config{QueueSize: 4096, CacheSize: 16},
 		func(int64) []byte { return body })
 }
-
-// ---- Parallel compute-phase ablations (ISSUE 3 tentpole) ----
-
-// BenchmarkLockstepParallelAblation sweeps PE count × compute-phase
-// worker count on single Design-1 lock-step runs. The equivalence tests
-// prove every cell computes bit-identical results; this table shows where
-// sharding the per-cycle PE loop wins (large m on a multi-core host) and
-// where the per-cycle barrier loses (small m, or workers > cores).
-// workers=1 is the sequential engine — the speedup baseline.
-func BenchmarkLockstepParallelAblation(b *testing.B) {
-	const stages = 8
-	for _, m := range []int{8, 64, 256, 1024} {
-		ms, v := graphCase(31, stages, m)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(benchName("m", m)+"/"+benchName("workers", workers), func(b *testing.B) {
-				arr, err := pipearray.New(ms, v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				arr.SetParallelism(workers)
-				arr.SetParallelThreshold(1) // ablate the schedule, not the gate
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := arr.Run(false); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// serveWideGraphBody is serveGraphBody with a wide stage (m=32), large
-// enough that the streamed array's compute phase dominates a batch solve.
-func serveWideGraphBody(b *testing.B, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	inner := multistage.RandomUniform(rng, 3, 32, 1, 10)
-	g := multistage.SingleSourceSink(mp, inner)
-	f, err := spec.FromGraph(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := f.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
-}
-
-// BenchmarkServeEngineParallel is the end-to-end counterpart: identical
-// concurrent Design-1 traffic through dpserve with the streamed engine's
-// compute phase sequential versus sharded across GOMAXPROCS workers.
-func BenchmarkServeEngineParallel(b *testing.B) {
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{
-		{"engineSeq", 0},
-		{"enginePar", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			benchServe(b, serve.Config{
-				QueueSize:               4096,
-				BatchWindow:             500 * time.Microsecond,
-				BatchMax:                32,
-				CacheSize:               -1,
-				EngineParallelism:       c.workers,
-				EngineParallelThreshold: 1,
-			}, func(salt int64) []byte { return serveWideGraphBody(b, salt) })
-		})
-	}
-}

@@ -1,10 +1,10 @@
 // Command dpcheck runs the randomized differential correctness harness:
 // it generates seeded DP instances of every kind and cross-checks every
-// applicable engine/design combination (sequential lock-step, parallel
-// lock-step at several worker counts, goroutine-per-PE, and the
-// sequential baselines), also asserting the paper's closed-form cycle
-// and utilization counts. On the first mismatch it prints a minimized
-// reproducer spec and exits nonzero.
+// applicable engine/design combination (the lock-step and
+// goroutine-per-PE runners of each array, and the sequential baselines),
+// also asserting the paper's closed-form cycle and utilization counts.
+// On the first mismatch it prints a minimized reproducer spec and exits
+// nonzero.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ func main() {
 		n      = flag.Int("n", 200, "number of random instances to check")
 		seed   = flag.Int64("seed", 1, "generator seed (same seed, same instances)")
 		kinds  = flag.String("kinds", "", "comma-separated instance kinds (default: all of "+strings.Join(check.Kinds(), ",")+")")
-		quick  = flag.Bool("quick", false, "CI smoke mode: 60 small instances, workers {1,2}")
+		quick  = flag.Bool("quick", false, "CI smoke mode: 60 small instances, chain wavefront workers {1,2}")
 		replay = flag.String("replay", "", "re-check a reproducer JSON file instead of generating")
 		verb   = flag.Bool("v", false, "print per-instance progress")
 	)

@@ -60,26 +60,22 @@ func parseFlags(args []string) (string, time.Duration, serve.Config) {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve budget")
 	traceSpans := fs.Int("trace-spans", 256, "request spans retained for /debug/dptrace")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	engineParallel := fs.Int("engine-parallel", 0, "lock-step engine compute-phase workers for streamed batch solves: 0/1 sequential, -1 = GOMAXPROCS")
-	engineThreshold := fs.Int("engine-parallel-threshold", 0, "minimum PE count before the parallel compute phase engages (0 = engine default)")
 	admit := fs.Bool("admit", false, "cycle-model admission control: shed requests predicted to miss their deadline with 429 + Retry-After")
 	admitHeadroom := fs.Float64("admit-headroom", 1.2, "safety factor on predicted completion time (shed iff predicted*headroom > deadline)")
 	drainGrace := fs.Duration("drain-grace", 3*time.Second, "on SIGTERM, keep serving with /healthz=503 this long so load balancers stop routing before the listener closes")
 	fs.Parse(args)
 	return *addr, *drainGrace, serve.Config{
-		Workers:                 *workers,
-		QueueSize:               *queue,
-		BatchWindow:             *window,
-		BatchMax:                *batchMax,
-		CacheSize:               *cacheSize,
-		Timeout:                 *timeout,
-		TraceSpans:              *traceSpans,
-		EnablePprof:             *pprof,
-		EngineParallelism:       *engineParallel,
-		EngineParallelThreshold: *engineThreshold,
-		AdmitEnabled:            *admit,
-		AdmitHeadroom:           *admitHeadroom,
-		Logger:                  slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Workers:       *workers,
+		QueueSize:     *queue,
+		BatchWindow:   *window,
+		BatchMax:      *batchMax,
+		CacheSize:     *cacheSize,
+		Timeout:       *timeout,
+		TraceSpans:    *traceSpans,
+		EnablePprof:   *pprof,
+		AdmitEnabled:  *admit,
+		AdmitHeadroom: *admitHeadroom,
+		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	}
 }
 

@@ -28,9 +28,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.Logger == nil {
 		t.Error("no logger wired by default")
 	}
-	if cfg.EngineParallelism != 0 || cfg.EngineParallelThreshold != 0 {
-		t.Errorf("engine-parallel defaults wrong: %+v", cfg)
-	}
 }
 
 func TestParseFlagsOverrides(t *testing.T) {
@@ -38,7 +35,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 		"-addr", "127.0.0.1:9999", "-workers", "3", "-queue", "7",
 		"-batch-window", "5ms", "-batch-max", "1", "-cache", "-1",
 		"-timeout", "2s", "-trace-spans", "32", "-pprof",
-		"-engine-parallel", "-1", "-engine-parallel-threshold", "64",
 		"-drain-grace", "250ms",
 	})
 	if addr != "127.0.0.1:9999" {
@@ -55,9 +51,6 @@ func TestParseFlagsOverrides(t *testing.T) {
 	}
 	if cfg.TraceSpans != 32 || !cfg.EnablePprof {
 		t.Errorf("observability overrides wrong: %+v", cfg)
-	}
-	if cfg.EngineParallelism != -1 || cfg.EngineParallelThreshold != 64 {
-		t.Errorf("engine-parallel overrides wrong: %+v", cfg)
 	}
 }
 

@@ -41,10 +41,9 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "dump the ASCII per-cycle wire waveform (designs 1 and 3, lock-step only)")
 	traceJSON := flag.String("trace-json", "", "write a Perfetto/Chrome trace-event JSON cycle trace to this file (all designs, both runners)")
 	goroutines := flag.Bool("goroutines", false, "use the goroutine-per-PE runner")
-	parallel := flag.Int("parallel", 0, "lock-step compute-phase workers: 0/1 sequential, >1 shards the per-cycle PE loop, -1 = GOMAXPROCS (results are bit-identical)")
 	flag.Parse()
 
-	if err := run(*design, *stages, *values, *seed, *traceFlag, *goroutines, *traceJSON, *parallel); err != nil {
+	if err := run(*design, *stages, *values, *seed, *traceFlag, *goroutines, *traceJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "systolicsim:", err)
 		os.Exit(1)
 	}
@@ -69,7 +68,7 @@ func wireCallback(rec *obs.CycleRecorder, ascii *trace.Recorder, goroutines bool
 	}
 }
 
-func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, traceJSON string, parallel int) error {
+func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, traceJSON string) error {
 	if asciiTrace {
 		if goroutines {
 			return fmt.Errorf("-trace needs the lock-step runner's global latch snapshots; drop -goroutines or use -trace-json, which works for both runners")
@@ -77,9 +76,6 @@ func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, tr
 		if design == 2 {
 			return fmt.Errorf("-trace is unavailable for design 2: its broadcast bus is combinational, so there are no registered wires to snapshot; use -trace-json instead")
 		}
-	}
-	if goroutines && parallel != 0 && parallel != 1 {
-		return fmt.Errorf("-parallel shards the lock-step compute phase; the goroutine runner is already one goroutine per PE, so drop -goroutines")
 	}
 	mp := semiring.MinPlus{}
 	rng := rand.New(rand.NewSource(seed))
@@ -103,14 +99,8 @@ func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, tr
 			if err != nil {
 				return err
 			}
-			// An explicit -parallel overrides the production threshold: the
-			// simulator's arrays are tiny, and the point is to exercise (and
-			// trace) the sharded schedule, not to win wall-clock time.
-			arr.SetParallelism(parallel)
-			arr.SetParallelThreshold(1)
 			fmt.Printf("Design 1: %d PEs, %d matrix phases, %d iterations, %d wall cycles\n",
 				arr.M, arr.K, arr.Iterations(), arr.WallCycles())
-			reportWorkers(arr.LockstepWorkers(), goroutines)
 			rec := obs.NewCycleRecorder(arr.M, arr.ObservedCycles())
 			var ascii *trace.Recorder
 			if asciiTrace {
@@ -130,10 +120,7 @@ func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, tr
 		if err != nil {
 			return err
 		}
-		arr.SetParallelism(parallel)
-		arr.SetParallelThreshold(1)
 		fmt.Printf("Design 2: %d PEs, %d matrix phases, %d iterations (no skew)\n", arr.M, arr.K, arr.Iterations())
-		reportWorkers(arr.LockstepWorkers(), goroutines)
 		rec := obs.NewCycleRecorder(arr.M, arr.ObservedCycles())
 		var out []float64
 		var busy []int
@@ -152,10 +139,7 @@ func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, tr
 		if err != nil {
 			return err
 		}
-		arr.SetParallelism(parallel)
-		arr.SetParallelThreshold(1)
 		fmt.Printf("Design 3: %d PEs, %d stages, %d iterations ((N+1)m)\n", arr.M, arr.N, arr.Iterations())
-		reportWorkers(arr.LockstepWorkers(), goroutines)
 		rec := obs.NewCycleRecorder(arr.M, arr.ObservedCycles())
 		var ascii *trace.Recorder
 		if asciiTrace {
@@ -175,13 +159,6 @@ func run(design, stages, values int, seed int64, asciiTrace, goroutines bool, tr
 		})
 	default:
 		return fmt.Errorf("unknown design %d", design)
-	}
-}
-
-// reportWorkers notes the sharded compute phase when it is engaged.
-func reportWorkers(workers int, goroutines bool) {
-	if !goroutines && workers > 1 {
-		fmt.Printf("workers:  %d (sharded lock-step compute phase)\n", workers)
 	}
 }
 

@@ -13,35 +13,22 @@ func TestRunAllDesigns(t *testing.T) {
 		design     int
 		goroutines bool
 		trace      bool
-		parallel   int
 	}{
-		{"design1-lockstep", 1, false, false, 0},
-		{"design1-goroutines", 1, true, false, 0},
-		{"design1-trace", 1, false, true, 0},
-		{"design1-parallel", 1, false, false, 2},
-		{"design1-parallel-trace", 1, false, true, 2},
-		{"design2-lockstep", 2, false, false, 0},
-		{"design2-goroutines", 2, true, false, 0},
-		{"design2-parallel", 2, false, false, 3},
-		{"design3-lockstep", 3, false, false, 0},
-		{"design3-goroutines", 3, true, false, 0},
-		{"design3-trace", 3, false, true, 0},
-		{"design3-parallel", 3, false, false, -1},
+		{"design1-lockstep", 1, false, false},
+		{"design1-goroutines", 1, true, false},
+		{"design1-trace", 1, false, true},
+		{"design2-lockstep", 2, false, false},
+		{"design2-goroutines", 2, true, false},
+		{"design3-lockstep", 3, false, false},
+		{"design3-goroutines", 3, true, false},
+		{"design3-trace", 3, false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := run(c.design, 5, 3, 42, c.trace, c.goroutines, "", c.parallel); err != nil {
+			if err := run(c.design, 5, 3, 42, c.trace, c.goroutines, ""); err != nil {
 				t.Fatalf("design %d: %v", c.design, err)
 			}
 		})
-	}
-}
-
-// -parallel shards the lock-step compute phase, so combining it with the
-// goroutine-per-PE runner must fail loudly.
-func TestParallelRejectsGoroutines(t *testing.T) {
-	if err := run(1, 5, 3, 42, false, true, "", 2); err == nil {
-		t.Error("-parallel accepted with -goroutines")
 	}
 }
 
@@ -54,7 +41,7 @@ func TestTraceJSONAllDesigns(t *testing.T) {
 			name := map[bool]string{false: "lockstep", true: "goroutines"}[goroutines]
 			t.Run(name, func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "trace.json")
-				if err := run(design, 5, 3, 42, false, goroutines, path, 0); err != nil {
+				if err := run(design, 5, 3, 42, false, goroutines, path); err != nil {
 					t.Fatalf("design %d %s: %v", design, name, err)
 				}
 				raw, err := os.ReadFile(path)
@@ -91,19 +78,19 @@ func TestTraceJSONAllDesigns(t *testing.T) {
 // TestASCIITraceRejections: -trace must fail loudly, not silently ignore
 // the flag, for the combinations it cannot serve.
 func TestASCIITraceRejections(t *testing.T) {
-	if err := run(2, 5, 3, 42, true, false, "", 0); err == nil {
+	if err := run(2, 5, 3, 42, true, false, ""); err == nil {
 		t.Error("-trace accepted for design 2")
 	}
-	if err := run(1, 5, 3, 42, true, true, "", 0); err == nil {
+	if err := run(1, 5, 3, 42, true, true, ""); err == nil {
 		t.Error("-trace accepted with -goroutines")
 	}
-	if err := run(3, 5, 3, 42, true, true, "", 0); err == nil {
+	if err := run(3, 5, 3, 42, true, true, ""); err == nil {
 		t.Error("-trace accepted with -goroutines on design 3")
 	}
 }
 
 func TestRunUnknownDesign(t *testing.T) {
-	if err := run(9, 5, 3, 42, false, false, "", 0); err == nil {
+	if err := run(9, 5, 3, 42, false, false, ""); err == nil {
 		t.Error("unknown design accepted")
 	}
 }

@@ -20,7 +20,6 @@ package bcastarray
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"systolicdp/internal/matrix"
@@ -30,13 +29,11 @@ import (
 
 // Array is a configured Design-2 broadcast array for one matrix string.
 type Array struct {
-	M, K              int
-	rows              int
-	feed              [][][]float64 // [phase][pe][iteration]
-	v                 []float64
-	s                 semiring.Comparative
-	parallelism       int
-	parallelThreshold int
+	M, K int
+	rows int
+	feed [][][]float64 // [phase][pe][iteration]
+	v    []float64
+	s    semiring.Comparative
 }
 
 // New builds a Design-2 array over (MIN,+) computing
@@ -89,36 +86,6 @@ func NewSemiring(s semiring.Comparative, ms []*matrix.Matrix, v []float64) (*Arr
 	return &Array{M: m, K: k, rows: ms[0].Rows, feed: feed, v: append([]float64(nil), v...), s: s}, nil
 }
 
-// SetParallelism sets the compute-phase worker count of the bespoke
-// lock-step loop, mirroring systolic.Array.Parallelism: <=1 runs
-// sequentially, >1 shards the per-phase PE loop, negative uses GOMAXPROCS.
-func (a *Array) SetParallelism(p int) { a.parallelism = p }
-
-// SetParallelThreshold sets the minimum PE count at which the parallel
-// loop engages; 0 keeps systolic.DefaultParallelThreshold, 1 forces it on.
-func (a *Array) SetParallelThreshold(n int) { a.parallelThreshold = n }
-
-// LockstepWorkers reports the worker count a lock-step run will use after
-// threshold gating and clamping, with the same semantics as
-// systolic.Array.LockstepWorkers.
-func (a *Array) LockstepWorkers() int {
-	p := a.parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	thr := a.parallelThreshold
-	if thr <= 0 {
-		thr = systolic.DefaultParallelThreshold
-	}
-	if p <= 1 || a.M < thr {
-		return 1
-	}
-	if p > a.M {
-		p = a.M
-	}
-	return p
-}
-
 // Iterations returns the iteration count K*m; with a combinational
 // broadcast bus this is also the wall-cycle count.
 func (a *Array) Iterations() int { return a.K * a.M }
@@ -141,19 +108,8 @@ func (a *Array) RunLockstep() ([]float64, []int) {
 
 // RunLockstepObserved is RunLockstep with a per-PE trace hook invoked
 // once per PE per iteration (Design 2 keeps every PE busy every
-// iteration — the broadcast bus has no fill or drain). With a parallelism
-// setting above 1 and at least the threshold of PEs, the per-phase PE
-// loop is sharded across a persistent worker pool; because the bus values
-// of a phase are fully determined before the phase starts (FIRST selects
-// the input vector, afterwards the gated S registers of the previous
-// phase), each PE's accumulation order is unchanged and the results, busy
-// counts, and trace observations are bit-identical to the sequential
-// loop. peTrace may then be invoked concurrently for distinct PEs within
-// a phase (the systolic.PETrace contract).
+// iteration — the broadcast bus has no fill or drain).
 func (a *Array) RunLockstepObserved(peTrace systolic.PETrace) ([]float64, []int) {
-	if workers := a.LockstepWorkers(); workers > 1 {
-		return a.runLockstepParallel(workers, peTrace)
-	}
 	m := a.M
 	acc := make([]float64, m) // A_i accumulators
 	gated := make([]float64, m)
@@ -183,74 +139,6 @@ func (a *Array) RunLockstepObserved(peTrace systolic.PETrace) ([]float64, []int)
 			acc[i] = a.s.Zero()
 		}
 	}
-	return gated[:a.rows], busy
-}
-
-// runLockstepParallel is the sharded lock-step loop: a persistent pool of
-// workers, each owning a contiguous PE range, synchronised once per phase
-// (m iterations) rather than per cycle. The coordinator snapshots the
-// phase's bus values into xs, broadcasts the phase index, and gates the
-// accumulators at the barrier — the MOVE signal.
-func (a *Array) runLockstepParallel(workers int, peTrace systolic.PETrace) ([]float64, []int) {
-	m := a.M
-	acc := make([]float64, m)
-	gated := make([]float64, m)
-	for i := range acc {
-		acc[i] = a.s.Zero()
-	}
-	busy := make([]int, m)
-	xs := make([]float64, m) // bus value per iteration of the current phase
-
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * m / workers
-	}
-	start := make([]chan int, workers)
-	done := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start[w] = make(chan int, 1)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := bounds[w], bounds[w+1]
-			for k := range start[w] {
-				for i := lo; i < hi; i++ {
-					ai := acc[i]
-					for j := 0; j < m; j++ {
-						ai = a.s.Add(ai, a.s.Mul(a.feed[k][i][j], xs[j]))
-						busy[i]++
-						if peTrace != nil {
-							peTrace(i, k*m+j, true)
-						}
-					}
-					acc[i] = ai
-				}
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	for k := 0; k < a.K; k++ {
-		if k == 0 {
-			copy(xs, a.v)
-		} else {
-			copy(xs, gated)
-		}
-		for w := range start {
-			start[w] <- k
-		}
-		for range start {
-			<-done
-		}
-		copy(gated, acc)
-		for i := range acc {
-			acc[i] = a.s.Zero()
-		}
-	}
-	for w := range start {
-		close(start[w])
-	}
-	wg.Wait()
 	return gated[:a.rows], busy
 }
 

@@ -35,9 +35,10 @@ func (m *Mismatch) Error() string {
 	return fmt.Sprintf("%s: %s (%s): %s", m.Instance, m.Field, m.Engines, m.Detail)
 }
 
-// Workers are the parallel lock-step worker counts the oracle exercises
-// by default (0 is replaced by runtime-dependent NumCPU at check time;
-// see Options.Workers in run.go).
+// DefaultWorkers are the worker counts the oracle runs the concurrent
+// chain-ordering wavefront (matchain.Wavefront) at by default; a value
+// <= 0 is replaced by runtime.NumCPU() at check time (see
+// Options.Workers in run.go).
 var DefaultWorkers = []int{1, 2, -1}
 
 // checker accumulates mismatches and comparison counts for one instance.
@@ -125,21 +126,21 @@ func Check(inst *Instance, workers []int) (mismatches []*Mismatch, combos int) {
 	c := &checker{inst: inst}
 	switch inst.Kind() {
 	case "graph":
-		c.checkGraph(workers)
+		c.checkGraph()
 	case "nodevalued":
-		c.checkNodeValued(workers)
+		c.checkNodeValued()
 	case "dtw":
 		c.checkDTW()
 	case "align":
 		c.checkAlign()
 	case "viterbi":
-		c.checkViterbi(workers)
+		c.checkViterbi()
 	case "knapsack":
 		c.checkKnapsack()
 	case "chain":
 		c.checkChain(workers)
 	case "nonserial":
-		c.checkNonserial(workers)
+		c.checkNonserial()
 	default:
 		c.addf("invariant", "generator", "unknown kind %q", inst.Kind())
 	}
@@ -201,10 +202,9 @@ func hasNonFinite(g *multistage.Graph) bool {
 // checkGraph is the Designs-1/2 oracle: the sequential baselines, the
 // pipelined array, the broadcast array, the streamed array, and the
 // serving entry points must all report the same optimum; cycle counts
-// and per-PE busy totals must match the paper's closed forms; and every
-// runner (lock-step sequential, lock-step parallel at each worker count,
-// goroutine-per-PE) must be bit-identical.
-func (c *checker) checkGraph(workers []int) {
+// and per-PE busy totals must match the paper's closed forms; and both
+// runners (lock-step and goroutine-per-PE) must be bit-identical.
+func (c *checker) checkGraph() {
 	g, err := c.inst.graph()
 	if err != nil {
 		c.addf("invariant", "generator", "graph rebuild: %v", err)
@@ -238,10 +238,10 @@ func (c *checker) checkGraph(workers []int) {
 	c.cmpScalar("result", "seq-baseline vs chain-vec", base.Cost, semiring.Fold(s, ref))
 
 	m := len(v)
-	c.checkPipearray(workers, s, srName, ms, v, ref, g)
-	c.checkBcastarray(workers, s, srName, ms, v, ref)
+	c.checkPipearray(s, ms, v, ref, g)
+	c.checkBcastarray(s, ms, v, ref)
 	if srName == "min-plus" {
-		c.checkStream(ms, v, ref, g, base.Cost, workers)
+		c.checkStream(ms, v, ref, g, base.Cost)
 		if !hasNonFinite(g) {
 			c.checkSpecRoundTrip(g, base.Cost)
 		}
@@ -261,8 +261,7 @@ func (c *checker) checkGraph(workers []int) {
 	}
 }
 
-func (c *checker) checkPipearray(workers []int, s semiring.Comparative, srName string,
-	ms []*matrix.Matrix, v, ref []float64, g *multistage.Graph) {
+func (c *checker) checkPipearray(s semiring.Comparative, ms []*matrix.Matrix, v, ref []float64, g *multistage.Graph) {
 	build := func() (*pipearray.Array, error) { return pipearray.NewSemiring(s, ms, v) }
 	a, err := build()
 	if err != nil {
@@ -302,20 +301,6 @@ func (c *checker) checkPipearray(workers []int, s semiring.Comparative, srName s
 			c.cmpInts("busy", "pipe-lockstep vs pipe-rerun", resBusy(res), resBusy(res2))
 		}
 	}
-	for _, w := range workers {
-		if w == 1 {
-			continue
-		}
-		ap, err := build()
-		if err != nil {
-			c.addf("result", "pipe-build", "%v", err)
-			continue
-		}
-		ap.SetParallelism(w)
-		ap.SetParallelThreshold(1)
-		out, res, err := ap.Run(false)
-		addRun(fmt.Sprintf("pipe-lockstep-w%d", w), out, resCycles(res), resBusy(res), err)
-	}
 	ag, err := build()
 	if err == nil {
 		out, res, err := ag.Run(true)
@@ -340,11 +325,9 @@ func (c *checker) checkPipearray(workers []int, s semiring.Comparative, srName s
 			break
 		}
 	}
-	_ = srName
 }
 
-func (c *checker) checkBcastarray(workers []int, s semiring.Comparative, srName string,
-	ms []*matrix.Matrix, v, ref []float64) {
+func (c *checker) checkBcastarray(s semiring.Comparative, ms []*matrix.Matrix, v, ref []float64) {
 	a, err := bcastarray.NewSemiring(s, ms, v)
 	if err != nil {
 		c.addf("result", "bcast-build", "%v", err)
@@ -357,21 +340,6 @@ func (c *checker) checkBcastarray(workers []int, s semiring.Comparative, srName 
 	out2, busy2 := a.RunLockstep()
 	c.cmpVec("result", "bcast-lockstep vs bcast-rerun", outSeq, out2)
 	c.cmpInts("busy", "bcast-lockstep vs bcast-rerun", busySeq, busy2)
-	for _, w := range workers {
-		if w == 1 {
-			continue
-		}
-		ap, err := bcastarray.NewSemiring(s, ms, v)
-		if err != nil {
-			continue
-		}
-		ap.SetParallelism(w)
-		ap.SetParallelThreshold(1)
-		out, busy := ap.RunLockstep()
-		name := fmt.Sprintf("bcast-lockstep-w%d", w)
-		c.cmpVec("result", "bcast-lockstep vs "+name, outSeq, out)
-		c.cmpInts("busy", "bcast-lockstep vs "+name, busySeq, busy)
-	}
 	outG, busyG := a.RunGoroutines()
 	c.cmpVec("result", "bcast-lockstep vs bcast-goroutines", outSeq, outG)
 	c.cmpInts("busy", "bcast-lockstep vs bcast-goroutines", busySeq, busyG)
@@ -384,15 +352,13 @@ func (c *checker) checkBcastarray(workers []int, s semiring.Comparative, srName 
 			break
 		}
 	}
-	_ = srName
 }
 
 // checkStream cross-checks the streamed (batched) Design-1 array — the
 // serving substrate — against the one-shot array, for a single instance
-// and for a duplicated batch, under both runners and the parallel
-// lock-step compute phase.
-func (c *checker) checkStream(ms []*matrix.Matrix, v, ref []float64, g *multistage.Graph,
-	baseCost float64, workers []int) {
+// and for a duplicated batch, under both runners, and the serving batch
+// entry point against the sequential baseline.
+func (c *checker) checkStream(ms []*matrix.Matrix, v, ref []float64, g *multistage.Graph, baseCost float64) {
 	one := pipearray.StreamProblem{Ms: ms, V: v}
 	for _, b := range []int{1, 3} {
 		problems := make([]pipearray.StreamProblem, b)
@@ -425,18 +391,14 @@ func (c *checker) checkStream(ms []*matrix.Matrix, v, ref []float64, g *multista
 			}
 		}
 	}
-	// The serving batch entry point, including the parallel engine knob.
-	for _, w := range workers {
-		gs := []*multistage.Graph{g, g}
-		sols, _, err := core.SolveGraphBatchParallel(gs, w, 1)
-		if err != nil {
-			c.addf("result", "core-batch", "workers=%d: %v", w, err)
-			continue
-		}
-		for i, sol := range sols {
-			c.cmpScalar("result", fmt.Sprintf("seq-baseline vs core-batch[w=%d,i=%d]", w, i),
-				baseCost, sol.Cost)
-		}
+	// The serving batch entry point.
+	sols, _, err := core.SolveGraphBatch([]*multistage.Graph{g, g})
+	if err != nil {
+		c.addf("result", "core-batch", "%v", err)
+		return
+	}
+	for i, sol := range sols {
+		c.cmpScalar("result", fmt.Sprintf("seq-baseline vs core-batch[i=%d]", i), baseCost, sol.Cost)
 	}
 }
 
@@ -515,10 +477,10 @@ func sanitizeWeight(s semiring.Semiring, w float64) float64 {
 }
 
 // checkNodeValued is the Design-3 oracle: the elimination baseline, the
-// expanded-graph baseline, the feedback array under every runner (uniform
+// expanded-graph baseline, the feedback array under both runners (uniform
 // instances only) and the served spec must agree on cost, and the array
 // and the served answer must return the sweep's path.
-func (c *checker) checkNodeValued(workers []int) {
+func (c *checker) checkNodeValued() {
 	name := c.inst.File.Cost
 	if name == "" {
 		name = "absdiff"
@@ -534,7 +496,7 @@ func (c *checker) checkNodeValued(workers []int) {
 		return
 	}
 	for _, s := range []semiring.Comparative{semiring.MinPlus{}, semiring.MaxPlus{}} {
-		c.checkNodeValuedSemiring(p, s, workers)
+		c.checkNodeValuedSemiring(p, s)
 	}
 	// The serving wire path: core.Solve must return the min-plus sweep's
 	// cost bit for bit and its path index by index.
@@ -587,7 +549,7 @@ func pathObjective(p *multistage.NodeValued, path []int) (float64, error) {
 	return total, nil
 }
 
-func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.Comparative, workers []int) {
+func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.Comparative) {
 	srName := s.Name()
 	base := p.SolvePath(s)
 	if obj, err := pathObjective(p, base.Nodes); err != nil {
@@ -637,19 +599,6 @@ func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.C
 			c.cmpInts("path", "fb-lockstep vs fb-rerun ("+srName+")", res.Path, res2.Path)
 			c.cmpInts("busy", "fb-lockstep vs fb-rerun ("+srName+")", res.Busy, res2.Busy)
 		}
-	}
-	for _, w := range workers {
-		if w == 1 {
-			continue
-		}
-		ap, err := build()
-		if err != nil {
-			continue
-		}
-		ap.SetParallelism(w)
-		ap.SetParallelThreshold(1)
-		res, err := ap.Run(false)
-		addRun(fmt.Sprintf("fb-lockstep-w%d (%s)", w, srName), res, err)
 	}
 	ag, err := build()
 	if err == nil {
@@ -765,7 +714,7 @@ func (c *checker) checkChain(workers []int) {
 // against brute force, the grouped serial transformations (equation
 // (41)), and — for uniform domains — the Design-3 feedback array run on
 // the grouped problem.
-func (c *checker) checkNonserial(workers []int) {
+func (c *checker) checkNonserial() {
 	name := c.inst.File.Cost
 	if name == "" {
 		name = "default"
@@ -817,31 +766,20 @@ func (c *checker) checkNonserial(workers []int) {
 		}
 		c.cmpScalar("result", "ns-eliminate vs ns-grouped-elimination",
 			elim, nv.Solve(semiring.MinPlus{}))
-		for _, w := range workers {
-			a, err := fbarray.New(nv)
-			if err != nil {
-				c.addf("result", "ns-fb-build", "%v", err)
-				return
-			}
-			if w != 1 {
-				a.SetParallelism(w)
-				a.SetParallelThreshold(1)
-			}
-			res, err := a.Run(false)
-			if err != nil {
-				c.addf("result", fmt.Sprintf("ns-fb-lockstep-w%d", w), "%v", err)
-				continue
-			}
-			c.cmpScalar("result", fmt.Sprintf("ns-eliminate vs ns-fb-lockstep-w%d", w), elim, res.Cost)
+		a, err := fbarray.New(nv)
+		if err != nil {
+			c.addf("result", "ns-fb-build", "%v", err)
+			return
 		}
-		ag, err := fbarray.New(nv)
-		if err == nil {
-			res, err := ag.Run(true)
-			if err != nil {
-				c.addf("result", "ns-fb-goroutines", "%v", err)
-			} else {
-				c.cmpScalar("result", "ns-eliminate vs ns-fb-goroutines", elim, res.Cost)
-			}
+		if res, err := a.Run(false); err != nil {
+			c.addf("result", "ns-fb-lockstep", "%v", err)
+		} else {
+			c.cmpScalar("result", "ns-eliminate vs ns-fb-lockstep", elim, res.Cost)
+		}
+		if res, err := a.Run(true); err != nil {
+			c.addf("result", "ns-fb-goroutines", "%v", err)
+		} else {
+			c.cmpScalar("result", "ns-eliminate vs ns-fb-goroutines", elim, res.Cost)
 		}
 	}
 }

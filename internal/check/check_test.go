@@ -11,7 +11,7 @@ import (
 // The central property: every engine/design combination agrees on every
 // generated instance, including degenerate shapes and extreme weights.
 // Workers include 4 — more than this host may have CPUs — so the
-// parallel lock-step pool is exercised oversubscribed.
+// chain-ordering wavefront's worker pool is exercised oversubscribed.
 func TestRunCleanAcrossEngines(t *testing.T) {
 	rep, err := Run(Options{N: 120, Seed: 7, Workers: []int{1, 2, 4}})
 	if err != nil {

@@ -1,14 +1,13 @@
 // Package check is the differential-testing and invariant-checking
 // subsystem: a seeded generator produces randomized DP instances, an
 // oracle runs each instance through every applicable engine/design
-// combination — the sequential baselines, the lock-step engine
-// (sequential and parallel at several worker counts), and the
+// combination — the sequential baselines, the lock-step engine and the
 // goroutine-per-PE runner — and diffs results, optimal paths, cycle
 // counts, and per-PE busy totals bit for bit. The paper's closed forms
 // (the N·m and (N+1)·m iteration counts, the eq (9) processor
 // utilization) are asserted as metamorphic invariants on every instance.
 //
-// The repo has three execution substrates that must agree exactly across
+// The repo has two execution substrates that must agree exactly across
 // Designs 1–3; this package is the systematic randomized cross-check
 // behind that obligation, shipped as a library (property tests, fuzz
 // targets) and as the dpcheck CLI.

@@ -8,8 +8,6 @@ package check
 // monotonicity), and the full spec round-trip through core.Solve.
 
 import (
-	"fmt"
-
 	"systolicdp/internal/align"
 	"systolicdp/internal/fbarray"
 	"systolicdp/internal/knapsack"
@@ -41,10 +39,10 @@ func (c *checker) checkAlign() {
 
 // checkViterbi cross-checks the trellis: the sequential sweep, the
 // Design-3 staged elimination, the expanded-graph baseline, the
-// feedback array under every runner, the path-cost re-derivation
+// feedback array under both runners, the path-cost re-derivation
 // invariant, and the serving wire path. Non-uniform and single-stage
 // trellises skip the array.
-func (c *checker) checkViterbi(workers []int) {
+func (c *checker) checkViterbi() {
 	tr := &viterbi.Trellis{Node: c.inst.File.Values, Trans: c.inst.File.Costs}
 	if err := tr.Validate(); err != nil {
 		c.addf("invariant", "generator", "invalid trellis: %v", err)
@@ -74,7 +72,7 @@ func (c *checker) checkViterbi(workers []int) {
 		expanded := multistage.SolveOptimal(s, sp.Expand())
 		c.cmpScalar("result", "vit-sequential vs vit-expanded-graph", seq, expanded.Cost)
 		if _, uniform := tr.Uniform(); uniform {
-			c.checkViterbiArray(tr, seq, path, workers)
+			c.checkViterbiArray(tr, seq, path)
 		}
 	}
 	if sol := c.solveSpec("vit"); sol != nil {
@@ -83,7 +81,7 @@ func (c *checker) checkViterbi(workers []int) {
 	}
 }
 
-func (c *checker) checkViterbiArray(tr *viterbi.Trellis, seq float64, path []int, workers []int) {
+func (c *checker) checkViterbiArray(tr *viterbi.Trellis, seq float64, path []int) {
 	build := func() (*fbarray.Array, error) {
 		return fbarray.NewStaged(semiring.MinPlus{}, tr.Staged())
 	}
@@ -99,24 +97,6 @@ func (c *checker) checkViterbiArray(tr *viterbi.Trellis, seq float64, path []int
 	}
 	c.cmpScalar("result", "vit-sequential vs vit-fb-lockstep", seq, res.Cost)
 	c.cmpInts("path", "vit-sequential vs vit-fb-lockstep", path, res.Path)
-	for _, w := range workers {
-		if w == 1 {
-			continue
-		}
-		ap, err := build()
-		if err != nil {
-			continue
-		}
-		ap.SetParallelism(w)
-		ap.SetParallelThreshold(1)
-		pres, err := ap.Run(false)
-		if err != nil {
-			c.addf("result", fmt.Sprintf("vit-fb-lockstep-w%d", w), "%v", err)
-			continue
-		}
-		c.cmpScalar("result", fmt.Sprintf("vit-fb-lockstep vs vit-fb-lockstep-w%d", w), res.Cost, pres.Cost)
-		c.cmpInts("path", fmt.Sprintf("vit-fb-lockstep vs vit-fb-lockstep-w%d", w), res.Path, pres.Path)
-	}
 	ag, err := build()
 	if err == nil {
 		gres, err := ag.Run(true)

@@ -11,7 +11,7 @@ type Options struct {
 	N       int      // instances to generate; default 200
 	Seed    int64    // generator seed; same seed => same instances
 	Kinds   []string // instance kinds to draw from; default Kinds()
-	Workers []int    // parallel lock-step worker counts; default DefaultWorkers
+	Workers []int    // chain-ordering wavefront worker counts; default DefaultWorkers
 	Gen     GenConfig
 	// StopOnFirst stops the run at the first mismatching instance (the
 	// CLI minimizes and prints that one).

@@ -98,40 +98,28 @@ func StreamProblemFromGraph(g *multistage.Graph) (pipearray.StreamProblem, error
 	return sp, nil
 }
 
-// SolveGraphBatch solves a batch of identically-shaped single-sink
-// multistage graphs in ONE streamed Design-1 run: all instances share a
-// single pipeline fill (B*K'*m + m - 1 cycles versus B*(K'*m + m - 1) for
-// separate runs). Returns one Solution per graph, in order. All graphs
-// must share stage count and stage sizes; pipearray.NewStream enforces
-// this.
-func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, error) {
-	sols, _, err := SolveGraphBatchParallel(gs, 0, 0)
-	return sols, err
-}
-
 // BatchStats reports the engine-side measurements of one streamed
-// Design-1 batch run: the model wall-cycle count, the compute-phase
-// worker count the lock-step engine used after threshold gating, the
-// measured processor utilization (the paper's PU, observed through the
-// serving path), and the eq. (9) closed-form PU to chart next to the
-// measurement. Only the Design-1 stream is batched: it is the one array
-// whose instances share modelled work (one pipeline fill per batch).
-// The other kinds' software kernels shared nothing across a batch, and
-// their measured occupancy stayed at 1.0–1.2, so they solve one at a
-// time on the general pool.
+// Design-1 batch run: the model wall-cycle count, the measured processor
+// utilization (the paper's PU, observed through the serving path), and
+// the eq. (9) closed-form PU to chart next to the measurement. Only the
+// Design-1 stream is batched: it is the one array whose instances share
+// modelled work (one pipeline fill per batch). The other kinds' software
+// kernels shared nothing across a batch, and their measured occupancy
+// stayed at 1.0–1.2, so they solve one at a time on the general pool.
 type BatchStats struct {
 	Cycles      int
-	Workers     int
 	Utilization float64
 	PUExpected  float64
 }
 
-// SolveGraphBatchParallel is SolveGraphBatch with the lock-step engine's
-// parallel compute phase configured: parallelism is the worker-count knob
-// (<=1 sequential, negative = GOMAXPROCS) and threshold the minimum PE
-// count at which it engages (0 = engine default). It additionally returns
-// the run's BatchStats.
-func SolveGraphBatchParallel(gs []*multistage.Graph, parallelism, threshold int) ([]*Solution, *BatchStats, error) {
+// SolveGraphBatch solves a batch of identically-shaped single-sink
+// multistage graphs in ONE streamed Design-1 run on the lock-step
+// engine: all instances share a single pipeline fill (B*K'*m + m - 1
+// cycles versus B*(K'*m + m - 1) for separate runs). Returns one
+// Solution per graph, in order, and the run's BatchStats. All graphs
+// must share stage count and stage sizes; pipearray.NewStream enforces
+// this.
+func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, *BatchStats, error) {
 	if len(gs) == 0 {
 		return nil, nil, fmt.Errorf("core: empty graph batch")
 	}
@@ -147,15 +135,12 @@ func SolveGraphBatchParallel(gs []*multistage.Graph, parallelism, threshold int)
 	if err != nil {
 		return nil, nil, err
 	}
-	st.SetParallelism(parallelism)
-	st.SetParallelThreshold(threshold)
 	outs, res, err := st.RunObserved(false)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := &BatchStats{
 		Cycles:      res.Cycles,
-		Workers:     st.LockstepWorkers(),
 		Utilization: res.Utilization(),
 		// Eq. (9) closed-form PU for this stream's shape: n = K'+1 stages of
 		// m-vectors.
@@ -189,9 +174,8 @@ type BatchKernel interface {
 	// means p is not batchable by this kernel.
 	Shape(p Problem) (shape string, ok bool)
 	// Solve runs the whole batch in one shared sweep, returning one
-	// Solution per problem in order. parallelism/threshold are the
-	// lock-step engine knobs; kernels without an engine ignore them.
-	Solve(ps []Problem, parallelism, threshold int) ([]*Solution, *BatchStats, error)
+	// Solution per problem in order.
+	Solve(ps []Problem) ([]*Solution, *BatchStats, error)
 }
 
 // BatchKernels returns the kernel set in serving priority order. The
@@ -203,7 +187,7 @@ func BatchKernels() []BatchKernel {
 }
 
 // GraphStreamKernel batches Design-1 multistage graphs through the
-// streamed pipelined array (SolveGraphBatchParallel): B same-shape
+// streamed pipelined array (SolveGraphBatch): B same-shape
 // instances share one pipeline fill, B·K'·m + m − 1 cycles total.
 type GraphStreamKernel struct{}
 
@@ -234,7 +218,7 @@ func (GraphStreamKernel) Shape(p Problem) (string, bool) {
 }
 
 // Solve streams the batch through the pipelined array.
-func (GraphStreamKernel) Solve(ps []Problem, parallelism, threshold int) ([]*Solution, *BatchStats, error) {
+func (GraphStreamKernel) Solve(ps []Problem) ([]*Solution, *BatchStats, error) {
 	gs := make([]*multistage.Graph, len(ps))
 	for i, p := range ps {
 		mp, ok := p.(*MultistageProblem)
@@ -243,5 +227,5 @@ func (GraphStreamKernel) Solve(ps []Problem, parallelism, threshold int) ([]*Sol
 		}
 		gs[i] = mp.Graph
 	}
-	return SolveGraphBatchParallel(gs, parallelism, threshold)
+	return SolveGraphBatch(gs)
 }

@@ -201,19 +201,6 @@ func newArray(s semiring.Comparative, values [][]float64, n int, fk multistage.S
 	return a, nil
 }
 
-// SetParallelism sets the lock-step engine's compute-phase worker count
-// (see systolic.Array.Parallelism): <=1 runs sequentially, >1 shards the
-// per-cycle PE loop, negative uses GOMAXPROCS.
-func (a *Array) SetParallelism(p int) { a.net.Parallelism = p }
-
-// SetParallelThreshold sets the minimum PE count at which the parallel
-// compute phase engages; 0 keeps the engine default, 1 forces it on.
-func (a *Array) SetParallelThreshold(n int) { a.net.ParallelThreshold = n }
-
-// LockstepWorkers reports the compute-phase worker count a lock-step run
-// will use after threshold gating and clamping.
-func (a *Array) LockstepWorkers() int { return a.net.LockstepWorkers() }
-
 // Iterations returns the paper's total iteration count (N+1)*m.
 func (a *Array) Iterations() int { return (a.N + 1) * a.M }
 

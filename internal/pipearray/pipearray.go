@@ -233,20 +233,6 @@ func NewSemiring(s semiring.Comparative, ms []*matrix.Matrix, v []float64) (*Arr
 	return a, nil
 }
 
-// SetParallelism sets the lock-step engine's compute-phase worker count
-// (see systolic.Array.Parallelism): <=1 runs sequentially, >1 shards the
-// per-cycle PE loop, negative uses GOMAXPROCS.
-func (a *Array) SetParallelism(p int) { a.net.Parallelism = p }
-
-// SetParallelThreshold sets the minimum PE count at which the parallel
-// compute phase engages (see systolic.Array.ParallelThreshold); 0 keeps
-// the engine default, 1 forces it on.
-func (a *Array) SetParallelThreshold(n int) { a.net.ParallelThreshold = n }
-
-// LockstepWorkers reports the compute-phase worker count a lock-step run
-// will use after threshold gating and clamping.
-func (a *Array) LockstepWorkers() int { return a.net.LockstepWorkers() }
-
 // Iterations returns the paper's per-PE iteration count K*m.
 func (a *Array) Iterations() int { return a.K * a.M }
 

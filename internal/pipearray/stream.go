@@ -259,18 +259,6 @@ func NewStream(problems []StreamProblem) (*Stream, error) {
 // B*(K'*m + m - 1) for separate runs.
 func (s *Stream) WallCycles() int { return s.B*s.KPadded*s.M + s.M - 1 }
 
-// SetParallelism sets the lock-step engine's compute-phase worker count
-// for this stream (see systolic.Array.Parallelism).
-func (s *Stream) SetParallelism(p int) { s.net.Parallelism = p }
-
-// SetParallelThreshold sets the minimum PE count at which the parallel
-// compute phase engages; 0 keeps the engine default, 1 forces it on.
-func (s *Stream) SetParallelThreshold(n int) { s.net.ParallelThreshold = n }
-
-// LockstepWorkers reports the compute-phase worker count a lock-step run
-// will use after threshold gating and clamping.
-func (s *Stream) LockstepWorkers() int { return s.net.LockstepWorkers() }
-
 // Run executes the batch and returns each problem's result vector (live
 // rows only), in order.
 func (s *Stream) Run(goroutines bool) ([][]float64, error) {

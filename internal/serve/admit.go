@@ -319,7 +319,7 @@ func (a *Admitter) Admit(kind string, cycles float64, deadline time.Duration) (*
 
 // Observe feeds one measured solve back into the per-kind rate model:
 // cycles of modeled work completed in the given wall seconds. An EWMA
-// (α=0.3) keeps the rate tracking drift (engine parallelism changes, CPU
+// (α=0.3) keeps the rate tracking drift (batch occupancy changes, CPU
 // contention) without whipsawing on one outlier.
 func (a *Admitter) Observe(kind string, cycles, seconds float64) {
 	if cycles <= 0 || seconds <= 0 {

@@ -28,11 +28,6 @@ type Batcher struct {
 	// kernels is the per-kind batch solver set, in lookup priority order.
 	kernels []core.BatchKernel
 
-	// Lock-step engine parallel-compute knobs for streamed graph runs; see
-	// systolic.Array.Parallelism / ParallelThreshold.
-	engineParallelism int
-	engineThreshold   int
-
 	mu       sync.Mutex
 	pending  map[batchKey]*batch
 	inflight int
@@ -44,7 +39,7 @@ type Batcher struct {
 
 	// solveBatch is the batch solve entry point; tests override it to
 	// exercise the flush failure paths. Nil means the kernel's own Solve.
-	solveBatch func(k core.BatchKernel, ps []core.Problem, parallelism, threshold int) ([]*core.Solution, *core.BatchStats, error)
+	solveBatch func(k core.BatchKernel, ps []core.Problem) ([]*core.Solution, *core.BatchStats, error)
 
 	// testPreFlush is a test seam that runs in Submit between releasing
 	// b.mu and spawning the size-triggered flush goroutine — the window in
@@ -276,11 +271,9 @@ func (b *Batcher) flush(bt *batch) {
 		}()
 		solve := b.solveBatch
 		if solve == nil {
-			solve = func(k core.BatchKernel, ps []core.Problem, parallelism, threshold int) ([]*core.Solution, *core.BatchStats, error) {
-				return k.Solve(ps, parallelism, threshold)
-			}
+			solve = core.BatchKernel.Solve
 		}
-		return solve(bt.kernel, ps, b.engineParallelism, b.engineThreshold)
+		return solve(bt.kernel, ps)
 	}()
 	solveEnd := time.Now()
 	b.metrics.Batches.Inc()
@@ -292,7 +285,6 @@ func (b *Batcher) flush(bt *batch) {
 		// paper's Eq. 9 closed-form PU for this batch's shape next to the
 		// measured utilization, so dptop and /metrics scrapes can show
 		// measured-vs-predicted without re-deriving the formula.
-		b.metrics.EngineWorkers.Set(float64(stats.Workers))
 		b.metrics.EngineUtilization.Set(stats.Utilization)
 		b.metrics.EnginePUExpected.Set(stats.PUExpected)
 		if b.admit != nil && err == nil {
@@ -324,15 +316,6 @@ func (b *Batcher) flush(bt *batch) {
 // SetAdmitter points batch-solve rate observations at the admission
 // controller's calibration. Call before serving.
 func (b *Batcher) SetAdmitter(a *Admitter) { b.admit = a }
-
-// SetEngineParallelism configures the lock-step engine's parallel compute
-// phase for this batcher's streamed runs: parallelism is the worker-count
-// knob (<=1 sequential, negative = GOMAXPROCS), threshold the minimum PE
-// count at which it engages (0 = engine default). Call before serving.
-func (b *Batcher) SetEngineParallelism(parallelism, threshold int) {
-	b.engineParallelism = parallelism
-	b.engineThreshold = threshold
-}
 
 // StreamCycles exposes the cycle model for a hypothetical flush of n
 // instances of graph g — used by tests and capacity planning.

@@ -45,7 +45,6 @@ type Metrics struct {
 	AdmitShed      Counter // requests shed by cycle-model admission control (429 + Retry-After)
 	AdmitUnpriced  Counter // requests priced under the UnpricedKind fallback (no closed-form arm)
 
-	EngineWorkers     Gauge // compute-phase workers of the last streamed run
 	EngineUtilization Gauge // measured PU of the last streamed run
 	EnginePUExpected  Gauge // paper eq (9) closed-form PU for the last streamed run's shape
 
@@ -95,7 +94,6 @@ func (m *Metrics) Write(w io.Writer) {
 	promtext.WriteCounter(w, "dpserve_expired_skipped_total", m.ExpiredSkipped.Value())
 	promtext.WriteCounter(w, "dpserve_admit_shed_total", m.AdmitShed.Value())
 	promtext.WriteCounter(w, "dpserve_admit_unpriced_total", m.AdmitUnpriced.Value())
-	promtext.WriteGauge(w, "dpserve_engine_workers", m.EngineWorkers.Value())
 	promtext.WriteGauge(w, "dpserve_engine_worker_utilization", m.EngineUtilization.Value())
 	promtext.WriteGauge(w, "dpserve_engine_pu_expected", m.EnginePUExpected.Value())
 	m.BatchOccupancy.Write(w, "dpserve_batch_occupancy")

@@ -75,15 +75,6 @@ type Config struct {
 	// (shed iff predicted*headroom > deadline); default 1.2. Values > 1
 	// shed earlier, absorbing model optimism.
 	AdmitHeadroom float64
-
-	// EngineParallelism is the lock-step engine's compute-phase worker
-	// count for streamed Design-1 batch runs: 0 or 1 solves sequentially,
-	// >1 shards the per-cycle PE loop, negative uses GOMAXPROCS.
-	EngineParallelism int
-	// EngineParallelThreshold is the minimum PE count (vector length m) at
-	// which the parallel compute phase engages; 0 keeps the engine default
-	// (systolic.DefaultParallelThreshold).
-	EngineParallelThreshold int
 }
 
 func (c Config) withDefaults() Config {
@@ -181,7 +172,6 @@ func New(cfg Config) *Server {
 	}
 	s.admit = NewAdmitter(cfg.AdmitEnabled, cfg.AdmitHeadroom, cfg.Workers)
 	s.batcher = NewBatcher(cfg.BatchWindow, cfg.BatchMax, cfg.QueueSize, s.metrics)
-	s.batcher.SetEngineParallelism(cfg.EngineParallelism, cfg.EngineParallelThreshold)
 	s.batcher.SetAdmitter(s.admit)
 	s.metrics.QueueDepth = func() int { return len(s.jobs) }
 	s.metrics.AdmitBacklogSeconds = s.admit.BacklogSeconds

@@ -117,6 +117,13 @@ func (f *File) Validate() error {
 		}
 	}
 
+	// Bound the lattice a dtw or align solve sweeps, |x|·|y| cells, by the
+	// cap the knapsack DP table below uses: each series alone may be long,
+	// but two long ones describe hours of work in a small body.
+	if len(f.X)*len(f.Y) > MaxSpecElems {
+		return fmt.Errorf("spec: %d x %d lattice exceeds %d cells", len(f.X), len(f.Y), MaxSpecElems)
+	}
+
 	for name, v := range map[string]float64{"gapopen": f.GapOpen, "gapext": f.GapExtend} {
 		if !finite(v) {
 			return fmt.Errorf("spec: %s: non-finite penalty %v", name, v)

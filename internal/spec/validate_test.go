@@ -66,6 +66,8 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 		manyDims[i] = 1
 	}
 	longSeries := make([]float64, MaxSpecSeries+1)
+	// 4097 x 4096 is the smallest lattice past MaxSpecElems = 4096².
+	x, y := make([]float64, 4097), make([]float64, 4096)
 	cases := []struct {
 		name string
 		f    File
@@ -73,6 +75,8 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 		{"wide-stage", File{Problem: "graph", Costs: [][][]float64{{bigRow}}}},
 		{"many-dims", File{Problem: "chain", Dims: manyDims}},
 		{"long-series", File{Problem: "dtw", X: longSeries, Y: []float64{0}}},
+		{"dtw-lattice", File{Problem: "dtw", X: x, Y: y}},
+		{"align-lattice", File{Problem: "align", X: y, Y: x, GapOpen: 2, GapExtend: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,6 +94,9 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 		`{"problem":"dtw","x":[0,1,2,3],"y":[0,1,1,2,3]}`,
 		`{"problem":"nodevalued","values":[[10,20],[15,25]],"cost":"absdiff"}`,
 		`{"problem":"nonserial","domains":[[1,2],[1,2],[1,2]],"cost":"span"}`,
+		// The largest lattices the cap admits: 4096 x 4096 cells.
+		`{"problem":"dtw","x":` + zeros(4096) + `,"y":` + zeros(4096) + `}`,
+		`{"problem":"align","x":` + zeros(4096) + `,"y":` + zeros(4096) + `,"gapopen":2,"gapext":1}`,
 	}
 	for _, in := range ok {
 		f, err := Decode([]byte(in))
@@ -100,4 +107,9 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 			t.Fatalf("Build(%s): %v", in, err)
 		}
 	}
+}
+
+// zeros renders a JSON array of n zeros.
+func zeros(n int) string {
+	return "[" + strings.TrimSuffix(strings.Repeat("0,", n), ",") + "]"
 }

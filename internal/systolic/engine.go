@@ -14,13 +14,6 @@
 //     global clock. This is the "goroutines model PEs" substitution for the
 //     paper's VLSI hardware.
 //
-// The lock-step compute phase is embarrassingly parallel: within one cycle
-// every PE reads only the previous cycle's registers and writes only its
-// own state and output wires, so the Parallelism knob shards the per-cycle
-// Step loop across a persistent worker pool while the latch phase stays on
-// the coordinating goroutine. Results, busy counts and sink streams are
-// bit-identical to the sequential schedule.
-//
 // Both runners share PE step functions and are tested to produce identical
 // results, busy counts and sink streams.
 package systolic
@@ -28,7 +21,6 @@ package systolic
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -86,54 +78,10 @@ type Wire struct {
 	Init   Token
 }
 
-// DefaultParallelThreshold is the PE count below which a parallel
-// Parallelism setting still runs the lock-step compute phase sequentially.
-// The per-cycle pool barrier costs on the order of a microsecond; with the
-// designs' Step functions at tens of nanoseconds each, arrays need a few
-// hundred PEs before sharding pays for the synchronization (see
-// BenchmarkLockstepParallelAblation).
-const DefaultParallelThreshold = 256
-
 // Array is a systolic array: PEs plus wires.
 type Array struct {
 	PEs   []PE
 	Wires []Wire
-
-	// Parallelism is the number of worker goroutines for the lock-step
-	// compute phase: <= 1 steps PEs sequentially on the calling goroutine,
-	// > 1 shards them across min(Parallelism, len(PEs)) persistent
-	// workers, and a negative value selects runtime.GOMAXPROCS(0). The
-	// goroutine runner ignores it (that runner is already one goroutine
-	// per PE).
-	Parallelism int
-
-	// ParallelThreshold is the minimum PE count at which Parallelism > 1
-	// actually engages the worker pool; below it runs stay sequential so
-	// small arrays do not pay the per-cycle barrier. Zero selects
-	// DefaultParallelThreshold; set 1 to force sharding regardless of
-	// size (tests, explicit simulator flags).
-	ParallelThreshold int
-}
-
-// LockstepWorkers resolves Parallelism against the array size and
-// threshold: the number of compute-phase workers the next lock-step run
-// will use (1 means the sequential path).
-func (a *Array) LockstepWorkers() int {
-	p := a.Parallelism
-	if p < 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	thr := a.ParallelThreshold
-	if thr <= 0 {
-		thr = DefaultParallelThreshold
-	}
-	if p <= 1 || len(a.PEs) < thr {
-		return 1
-	}
-	if p > len(a.PEs) {
-		p = len(a.PEs)
-	}
-	return p
 }
 
 // SinkRecord is one token observed on a sink wire, stamped with the cycle
@@ -259,16 +207,10 @@ func (a *Array) RunLockstep(cycles int, trace func(cycle int, wires []Token)) (*
 
 // RunLockstepObserved is RunLockstep with an additional per-PE trace hook
 // invoked once per PE per cycle with the busy bit, before the cycle's wire
-// snapshot is delivered to trace. With Parallelism > 1 the per-cycle Step
-// loop is sharded across a worker pool, so peTrace calls within one cycle
-// are concurrent across distinct PEs — the same contract the goroutine
-// runner already imposes (see PETrace); cycles still arrive in order.
+// snapshot is delivered to trace.
 func (a *Array) RunLockstepObserved(cycles int, trace func(cycle int, wires []Token), peTrace PETrace) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
-	}
-	if workers := a.LockstepWorkers(); workers > 1 {
-		return a.runLockstepParallel(cycles, workers, trace, peTrace)
 	}
 	inW, outW := a.wiring()
 	regs := make([]Token, len(a.Wires))
@@ -310,128 +252,6 @@ func (a *Array) RunLockstepObserved(cycles int, trace func(cycle int, wires []To
 			}
 			for _, wi := range outW[pi] {
 				next[wi] = out[a.Wires[wi].From.Port]
-			}
-		}
-		// Phase 2: latch and record sinks.
-		for wi, w := range a.Wires {
-			if w.To.PE == External && w.From.PE != External {
-				res.Sunk[wi] = append(res.Sunk[wi], SinkRecord{Cycle: t, Token: next[wi]})
-			}
-		}
-		copy(regs, next)
-		if trace != nil {
-			snapshot := make([]Token, len(regs))
-			copy(snapshot, regs)
-			trace(t, snapshot)
-		}
-	}
-	return res, nil
-}
-
-// runLockstepParallel is the sharded compute phase: PEs are divided into
-// contiguous shards once, each owned by one persistent worker goroutine;
-// every cycle the coordinator samples the sources, broadcasts the cycle
-// index, waits for all shards to step, then latches and records sinks
-// itself. The phase is race-free without locks because during compute the
-// registers are read-only and each shard writes only its own PEs' state:
-// their input buffers, their Busy counters, and their output wires (every
-// wire has exactly one driver). Execution is bit-identical to the
-// sequential schedule — per-PE arithmetic order is unchanged and the
-// latch phase is untouched.
-func (a *Array) runLockstepParallel(cycles, workers int, trace func(cycle int, wires []Token), peTrace PETrace) (*Result, error) {
-	inW, outW := a.wiring()
-	regs := make([]Token, len(a.Wires))
-	for wi, w := range a.Wires {
-		regs[wi] = w.Init
-	}
-	res := &Result{
-		Cycles: cycles,
-		Busy:   make([]int, len(a.PEs)),
-		Sunk:   make(map[int][]SinkRecord),
-	}
-	next := make([]Token, len(a.Wires))
-	ins := make([][]Token, len(a.PEs))
-	for pi, pe := range a.PEs {
-		ins[pi] = make([]Token, pe.NumIn())
-	}
-
-	step := func(lo, hi, t int) error {
-		for pi := lo; pi < hi; pi++ {
-			pe := a.PEs[pi]
-			in := ins[pi]
-			for port, wi := range inW[pi] {
-				in[port] = regs[wi]
-			}
-			out, busy := pe.Step(in)
-			if len(out) != pe.NumOut() {
-				return fmt.Errorf("systolic: PE %d produced %d outputs, want %d", pi, len(out), pe.NumOut())
-			}
-			if busy {
-				res.Busy[pi]++
-			}
-			if peTrace != nil {
-				peTrace(pi, t, busy)
-			}
-			for _, wi := range outW[pi] {
-				next[wi] = out[a.Wires[wi].From.Port]
-			}
-		}
-		return nil
-	}
-
-	// Shard bounds: contiguous, remainder spread over the leading shards.
-	bounds := make([]int, workers+1)
-	per, extra := len(a.PEs)/workers, len(a.PEs)%workers
-	for w := 0; w < workers; w++ {
-		bounds[w+1] = bounds[w] + per
-		if w < extra {
-			bounds[w+1]++
-		}
-	}
-	start := make([]chan int, workers)
-	done := make(chan struct{}, workers)
-	werrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start[w] = make(chan int, 1)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := range start[w] {
-				werrs[w] = step(bounds[w], bounds[w+1], t)
-				done <- struct{}{}
-			}
-		}(w)
-	}
-	defer func() {
-		for _, ch := range start {
-			close(ch)
-		}
-		wg.Wait()
-	}()
-
-	for t := 0; t < cycles; t++ {
-		// Phase 1: sample sources on the coordinator (Source functions are
-		// host code with no thread-safety contract), then step all shards.
-		copy(next, regs)
-		for wi, w := range a.Wires {
-			if w.From.PE == External {
-				next[wi] = w.Source(t)
-				regs[wi] = next[wi] // sources are combinational
-			}
-		}
-		for _, ch := range start {
-			ch <- t
-		}
-		for range start {
-			<-done
-		}
-		// A shard stops at its first contract violation, so scanning in
-		// shard order yields the lowest-numbered failing PE — the same
-		// error the sequential schedule reports.
-		for _, err := range werrs {
-			if err != nil {
-				return nil, err
 			}
 		}
 		// Phase 2: latch and record sinks.

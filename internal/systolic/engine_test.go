@@ -45,6 +45,19 @@ func (p *accPE) Step(in []Token) ([]Token, bool) {
 }
 func (p *accPE) Reset() { p.acc = math.Inf(1) }
 
+// faultyPE violates the Step contract when bad is set.
+type faultyPE struct{ bad bool }
+
+func (p *faultyPE) NumIn() int  { return 1 }
+func (p *faultyPE) NumOut() int { return 1 }
+func (p *faultyPE) Step(in []Token) ([]Token, bool) {
+	if p.bad {
+		return nil, false
+	}
+	return []Token{in[0]}, in[0].Valid
+}
+func (p *faultyPE) Reset() {}
+
 // chainArray builds source -> PE0 -> PE1 -> ... -> sink.
 func chainArray(pes []PE, src func(int) Token) *Array {
 	a := &Array{PEs: pes}
@@ -305,6 +318,9 @@ func TestTraceCallback(t *testing.T) {
 	a := chainArray([]PE{&passPE{}}, seqSource(2))
 	calls := 0
 	_, err := a.RunLockstep(4, func(cycle int, wires []Token) {
+		if cycle != calls {
+			t.Errorf("trace got cycle %d at call %d, want cycle order", cycle, calls)
+		}
 		calls++
 		if len(wires) != len(a.Wires) {
 			t.Errorf("trace got %d wires, want %d", len(wires), len(a.Wires))
@@ -315,6 +331,23 @@ func TestTraceCallback(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Errorf("trace called %d times, want 4", calls)
+	}
+}
+
+// A lock-step run steps PEs in index order, so with several PEs
+// violating the Step contract it stops at, and names, the lowest-numbered
+// one.
+func TestLockstepErrorNamesLowestFaultyPE(t *testing.T) {
+	pes := make([]PE, 9)
+	for i := range pes {
+		pes[i] = &faultyPE{bad: i == 4 || i == 7}
+	}
+	_, err := chainArray(pes, seqSource(4)).RunLockstep(6, nil)
+	if err == nil {
+		t.Fatal("lock-step run accepted a contract violation")
+	}
+	if want := "systolic: PE 4 produced 0 outputs, want 1"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
 }
 
