@@ -73,19 +73,19 @@ func main() {
 
 // config is the parsed command line.
 type config struct {
-	addr     string        // target base URL; empty = in-process server
-	duration time.Duration // measured window per run
-	rps      float64       // target request rate; 0 = probe capacity and use overload x it
-	overload float64       // auto-rate multiplier on probed capacity
-	ramp     float64       // leading fraction of the window spent ramping up to the target rate
-	conc     int           // closed-loop bound: max in-flight requests
-	mix      []string      // instance kinds to generate
-	scale    int           // instance-size multiplier on the generator defaults
-	seed     int64         // generator seed (runs are reproducible)
-	keys     int           // >0: draw requests from a fixed pool of this many distinct specs (cache hits exist)
-	out          string // report path; empty = stdout only
-	compare      bool   // in-process only: run admission off then on
-	compareBatch bool   // in-process only: run micro-batching off then on
+	addr         string        // target base URL; empty = in-process server
+	duration     time.Duration // measured window per run
+	rps          float64       // target request rate; 0 = probe capacity and use overload x it
+	overload     float64       // auto-rate multiplier on probed capacity
+	ramp         float64       // leading fraction of the window spent ramping up to the target rate
+	conc         int           // closed-loop bound: max in-flight requests
+	mix          []string      // instance kinds to generate
+	scale        int           // instance-size multiplier on the generator defaults
+	seed         int64         // generator seed (runs are reproducible)
+	keys         int           // >0: draw requests from a fixed pool of this many distinct specs (cache hits exist)
+	out          string        // report path; empty = stdout only
+	compare      bool          // in-process only: run admission off then on
+	compareBatch bool          // in-process only: run micro-batching off then on
 
 	// Scaling mode (in-process only): run the same workload through an
 	// in-process dprouter over each of these fleet sizes.
@@ -170,16 +170,16 @@ func parseFlags(args []string) (config, error) {
 		return config{}, fmt.Errorf("-ablate-random needs -replicas")
 	}
 	return config{
-		addr:     *addr,
-		duration: *duration,
-		rps:      *rps,
-		overload: *overload,
-		ramp:     *ramp,
-		conc:     *conc,
-		mix:      kinds,
-		scale:    *scale,
-		seed:     *seed,
-		keys:     *keys,
+		addr:         *addr,
+		duration:     *duration,
+		rps:          *rps,
+		overload:     *overload,
+		ramp:         *ramp,
+		conc:         *conc,
+		mix:          kinds,
+		scale:        *scale,
+		seed:         *seed,
+		keys:         *keys,
 		out:          *out,
 		compare:      *compare,
 		compareBatch: *compareBatch,

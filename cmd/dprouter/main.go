@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dprouter -addr :8090 -replicas localhost:8081,localhost:8082
-//	dprouter -addr :8090 -replicas-file replicas.txt -shed
+//	dprouter -addr :8090 -replicas-file replicas.txt
 //	curl -s -X POST localhost:8090/solve -d '{"problem":"chain","dims":[30,35,15,5,10,20,25]}'
 //
 // Endpoints: POST /solve (proxied to the owner replica with deadline
@@ -71,8 +71,6 @@ func parseFlags(args []string) (string, time.Duration, route.Config, error) {
 	ejectAfter := fs.Int("eject-after", 3, "consecutive probe failures before a replica is ejected")
 	readmitAfter := fs.Int("readmit-after", 2, "consecutive probe successes before readmission")
 	deadline := fs.Duration("deadline", 30*time.Second, "default per-request budget when the client sends no X-Deadline-Ms")
-	shed := fs.Bool("shed", false, "shed at the edge with 429 + Retry-After when the target shard's advertised backlog predicts a deadline miss")
-	shedHeadroom := fs.Float64("shed-headroom", 1.2, "safety factor on the shed prediction")
 	policy := fs.String("policy", route.PolicyHash, "placement policy: hash (shard-affine, default) or random (ablation baseline)")
 	drainGrace := fs.Duration("drain-grace", 3*time.Second, "on SIGTERM, keep serving with /healthz=503 this long so upstream load balancers stop routing before the listener closes")
 	traceSpans := fs.Int("trace-spans", 256, "hop spans retained for /debug/dptrace and fleet stitching")
@@ -90,8 +88,6 @@ func parseFlags(args []string) (string, time.Duration, route.Config, error) {
 		EjectAfter:      *ejectAfter,
 		ReadmitAfter:    *readmitAfter,
 		Deadline:        *deadline,
-		ShedEnabled:     *shed,
-		ShedHeadroom:    *shedHeadroom,
 		Policy:          *policy,
 		TraceSpans:      *traceSpans,
 		SlowTrace:       *slowTrace,

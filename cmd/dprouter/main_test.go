@@ -32,8 +32,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.HealthInterval != time.Second || cfg.EjectAfter != 3 || cfg.ReadmitAfter != 2 {
 		t.Errorf("health defaults wrong: %+v", cfg)
 	}
-	if cfg.Deadline != 30*time.Second || cfg.ShedEnabled || cfg.ShedHeadroom != 1.2 {
-		t.Errorf("shed defaults wrong: %+v", cfg)
+	if cfg.Deadline != 30*time.Second {
+		t.Errorf("deadline default %v", cfg.Deadline)
 	}
 	if cfg.Logger == nil {
 		t.Error("no logger wired by default")
@@ -48,7 +48,7 @@ func TestParseFlagsOverrides(t *testing.T) {
 		"-vnodes", "64", "-replication", "3",
 		"-health-interval", "200ms", "-health-timeout", "100ms",
 		"-eject-after", "5", "-readmit-after", "4",
-		"-deadline", "10s", "-shed", "-shed-headroom", "1.5",
+		"-deadline", "10s",
 		"-policy", "random", "-drain-grace", "1s",
 	})
 	if err != nil {
@@ -72,8 +72,8 @@ func TestParseFlagsOverrides(t *testing.T) {
 	if cfg.EjectAfter != 5 || cfg.ReadmitAfter != 4 {
 		t.Errorf("hysteresis overrides wrong: %+v", cfg)
 	}
-	if cfg.Deadline != 10*time.Second || !cfg.ShedEnabled || cfg.ShedHeadroom != 1.5 {
-		t.Errorf("shed overrides wrong: %+v", cfg)
+	if cfg.Deadline != 10*time.Second {
+		t.Errorf("deadline override %v", cfg.Deadline)
 	}
 }
 

@@ -148,6 +148,41 @@ func (p *MultistageProblem) Describe() string {
 	return fmt.Sprintf("multistage graph (%d stages), Design %d", p.Graph.Stages(), p.Design)
 }
 
+// Validate checks the graph and that its design can run it. Designs 1-2
+// take the arrays' shape (pipearray.New, bcastarray.New): at least 2
+// cost matrices, a last stage of one node, m nodes in every other stage
+// after the source, and a source stage of at most m nodes.
+func (p *MultistageProblem) Validate() error {
+	if err := p.Graph.Validate(); err != nil {
+		return err
+	}
+	switch p.Design {
+	case 0:
+		return nil
+	case 1, 2:
+	default:
+		return fmt.Errorf("core: unknown design %d (want 0, 1 or 2)", p.Design)
+	}
+	sizes := p.Graph.StageSizes
+	k := len(sizes) - 1 // cost matrices
+	if k < 2 {
+		return fmt.Errorf("core: designs 1-2 need at least 2 cost matrices, have %d", k)
+	}
+	if sizes[k] != 1 {
+		return fmt.Errorf("core: designs 1-2 need a single-sink graph (last stage of 1 node, not %d); wrap with SingleSourceSink", sizes[k])
+	}
+	m := sizes[k-1]
+	for st := 1; st < k-1; st++ {
+		if sizes[st] != m {
+			return fmt.Errorf("core: designs 1-2 need m=%d nodes in stage %d, have %d", m, st, sizes[st])
+		}
+	}
+	if sizes[0] > m {
+		return fmt.Errorf("core: designs 1-2 need a source stage of at most m=%d nodes, have %d", m, sizes[0])
+	}
+	return nil
+}
+
 // NodeValuedProblem is a monadic-serial problem in the node-valued form of
 // equation (4), Design 3's input. Solve serves it with NodeValued.SolvePath,
 // which evaluates the array's h + f terms with its strict-< tie rule and
@@ -216,7 +251,7 @@ func Solve(p Problem) (*Solution, error) {
 	mp := semiring.MinPlus{}
 	switch q := p.(type) {
 	case *MultistageProblem:
-		if err := q.Graph.Validate(); err != nil {
+		if err := q.Validate(); err != nil {
 			return nil, err
 		}
 		switch q.Design {
@@ -226,13 +261,7 @@ func Solve(p Problem) (*Solution, error) {
 		case 1, 2:
 			mats := q.Graph.Matrices()
 			k := len(mats)
-			if k < 2 {
-				return nil, fmt.Errorf("core: designs 1-2 need at least 2 cost matrices")
-			}
 			v := mats[k-1].Col(0)
-			if mats[k-1].Cols != 1 {
-				return nil, fmt.Errorf("core: designs 1-2 need a single-sink graph (last stage of 1 node); wrap with SingleSourceSink")
-			}
 			var out []float64
 			var err error
 			if q.Design == 1 {
@@ -244,8 +273,6 @@ func Solve(p Problem) (*Solution, error) {
 				return nil, err
 			}
 			sol.Cost = semiring.Fold(mp, out)
-		default:
-			return nil, fmt.Errorf("core: unknown design %d", q.Design)
 		}
 	case *NodeValuedProblem:
 		if err := q.Problem.Validate(); err != nil {

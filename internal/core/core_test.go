@@ -78,6 +78,46 @@ func TestSolveMultistageAllDesigns(t *testing.T) {
 	}
 }
 
+// Validate holds Designs 1-2 to the arrays' shape rules: every shape it
+// accepts solves on both arrays, and each rejected one breaks one rule.
+func TestMultistageValidateDesignShapes(t *testing.T) {
+	graph := func(sizes []int) *multistage.Graph {
+		g := &multistage.Graph{StageSizes: sizes}
+		for k := 0; k+1 < len(sizes); k++ {
+			g.Cost = append(g.Cost, matrix.New(sizes[k], sizes[k+1], 1))
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		sizes []int
+		ok    bool
+	}{
+		{[]int{1, 3, 3, 1}, true},
+		{[]int{2, 3, 1}, true}, // source narrower than m
+		{[]int{3, 3, 3, 1}, true},
+		{[]int{1, 1}, false},       // one cost matrix
+		{[]int{1, 2, 2}, false},    // two sinks
+		{[]int{4, 3, 1}, false},    // source wider than m
+		{[]int{1, 2, 3, 1}, false}, // inner stage not m wide
+	} {
+		for _, design := range []int{1, 2} {
+			p := &MultistageProblem{Graph: graph(tc.sizes), Design: design}
+			if err := p.Validate(); (err == nil) != tc.ok {
+				t.Errorf("design %d stages %v: Validate = %v, want ok=%v", design, tc.sizes, err, tc.ok)
+			}
+			if _, err := Solve(p); tc.ok && err != nil {
+				t.Errorf("design %d stages %v: accepted shape failed to solve: %v", design, tc.sizes, err)
+			}
+		}
+	}
+	for _, design := range []int{-1, 3} {
+		p := &MultistageProblem{Graph: graph([]int{1, 3, 1}), Design: design}
+		if p.Validate() == nil {
+			t.Errorf("design %d accepted", design)
+		}
+	}
+}
+
 func TestSolveNodeValued(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := multistage.RandomNodeValued(rng, 5, 3, 0, 10)

@@ -103,13 +103,6 @@ func PUAnalytic(n, k int) float64 {
 	return float64(n-1) / (float64(k) * t)
 }
 
-// AT2Analytic is S * T^2 with T from equation (29) — the quantity Theorem
-// 1 lower-bounds by Theta(N log2 N) at S(N) = Theta(N/log2 N).
-func AT2Analytic(n, s int) float64 {
-	t := TimeEq29(n, s)
-	return float64(s) * t * t
-}
-
 // ScheduleStats reports a simulated divide-and-conquer run.
 type ScheduleStats struct {
 	N, K        int

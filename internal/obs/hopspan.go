@@ -12,11 +12,10 @@ const RouterPid = 3
 // HopSpan is the router tier's span model: the lifecycle of one request
 // hop through dprouter. Its phases are the router's decision points —
 // decode_hash (body read + spec decode + canonical hash), candidate_pick
-// (ring placement), admission_check (edge shed pricing), then one proxy
-// phase per forward attempt, annotated with the replica, the outcome,
-// and the attempt number so failover is legible on the timeline. The
-// hop's span id is what the router sends downstream as the parent of the
-// replica's request span.
+// (ring placement), then one proxy phase per forward attempt, annotated
+// with the replica, the outcome, and the attempt number so failover is
+// legible on the timeline. The hop's span id is what the router sends
+// downstream as the parent of the replica's request span.
 type HopSpan struct {
 	ID    string // request id
 	Start time.Time

@@ -15,7 +15,7 @@
 //     (decode -> queue-wait -> batch-assembly -> solve -> encode) kept in
 //     a ring buffer and exported at /debug/dptrace;
 //   - HopSpan/HopRecorder: the router's hop spans (decode_hash ->
-//     candidate_pick -> admission_check -> per-attempt proxy phases);
+//     candidate_pick -> per-attempt proxy phases);
 //   - TraceContext: the X-Dp-Trace distributed trace context that links
 //     a router hop to the replica request span it caused;
 //   - WireSpan: the additive cross-process span exchange schema served

@@ -86,17 +86,6 @@ func (s *ReqSpan) SetTrace(traceID, parentID string) {
 	s.mu.Unlock()
 }
 
-// TraceIDs reports the span's trace linkage (trace id, own span id,
-// parent span id).
-func (s *ReqSpan) TraceIDs() (traceID, spanID, parentID string) {
-	if s == nil {
-		return "", "", ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traceID, s.spanID, s.parentID
-}
-
 // Observe records one phase by its wall-clock endpoints.
 func (s *ReqSpan) Observe(name string, start, end time.Time) {
 	if s == nil {

@@ -16,7 +16,6 @@ func TestRouterMetricsExpositionTypeChecks(t *testing.T) {
 	m.Forwarded("http://a:1", 200)
 	m.Forwarded("http://a:1", 429)
 	m.Forwarded("http://b:2", 200)
-	m.Shed.Inc()
 	m.Retries.Inc()
 	m.NoReplica.Inc()
 	m.ProxyErrors.Inc()
@@ -40,7 +39,7 @@ func TestRouterMetricsExpositionTypeChecks(t *testing.T) {
 	// that structurally; assert the important ones exist at all).
 	for _, name := range []string{
 		"dprouter_forwards_total", "dprouter_upstream_responses_total",
-		"dprouter_shed_total", "dprouter_retries_total", "dprouter_no_replica_total",
+		"dprouter_retries_total", "dprouter_no_replica_total",
 		"dprouter_proxy_errors_total", "dprouter_bad_spec_total",
 		"dprouter_ejections_total", "dprouter_readmits_total",
 		"dprouter_membership_reloads_total", "dprouter_slow_traces_total",

@@ -16,7 +16,6 @@ type Metrics struct {
 	forwards *promtext.CounterVec // upstream responses by replica base
 	statuses *promtext.CounterVec // upstream responses by status code
 
-	Shed        serve.Counter // early sheds at the edge (429 + Retry-After, no proxy hop)
 	Retries     serve.Counter // failovers to a later ring successor after a transport error
 	NoReplica   serve.Counter // requests with no healthy candidate (503)
 	ProxyErrors serve.Counter // every candidate failed at transport level (502)
@@ -41,18 +40,11 @@ func (m *Metrics) Forwarded(replica string, status int) {
 	m.statuses.With(strconv.Itoa(status)).Inc()
 }
 
-// Forwards reports the upstream response count for one replica.
-func (m *Metrics) Forwards(replica string) int64 { return m.forwards.Value(replica) }
-
-// StatusCount reports the upstream response count for one status code.
-func (m *Metrics) StatusCount(status int) int64 { return m.statuses.Value(strconv.Itoa(status)) }
-
 // Write renders all metrics in Prometheus text exposition format, in a
 // deterministic order.
 func (m *Metrics) Write(w io.Writer) {
 	m.forwards.Write(w, "dprouter_forwards_total")
 	m.statuses.Write(w, "dprouter_upstream_responses_total")
-	promtext.WriteCounter(w, "dprouter_shed_total", m.Shed.Value())
 	promtext.WriteCounter(w, "dprouter_retries_total", m.Retries.Value())
 	promtext.WriteCounter(w, "dprouter_no_replica_total", m.NoReplica.Value())
 	promtext.WriteCounter(w, "dprouter_proxy_errors_total", m.ProxyErrors.Value())

@@ -51,7 +51,6 @@ func TestRouterConcurrentForwardReloadEject(t *testing.T) {
 		HealthInterval: 5 * time.Millisecond,
 		EjectAfter:     2,
 		ReadmitAfter:   1,
-		ShedEnabled:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,15 +13,16 @@
 // exactly the property that keeps per-key cache affinity intact while
 // the replica set evolves.
 //
-// The router does four things per request: decode the body just enough
+// The router does three things per request: decode the body just enough
 // to compute the canonical spec.File hash, place the hash on the ring
-// over healthy replicas, optionally shed at the edge using the target
-// replica's advertised admission state (/statusz) with a model-derived
-// Retry-After, and forward with the remaining deadline propagated via
-// the X-Deadline-Ms header. Replica lifecycle is managed by a prober
-// with ejection/readmission hysteresis, and membership is static or
-// file-reloadable with graceful draining: a replica removed from the
-// ring finishes its in-flight requests before the router lets go of it.
+// over healthy replicas, and forward with the remaining deadline
+// propagated via the X-Deadline-Ms header. Shedding is the replica's:
+// its admission control prices the request against that deadline, and
+// its 429 + Retry-After passes back through the router unchanged.
+// Replica lifecycle is managed by a prober with ejection/readmission
+// hysteresis, and membership is static or file-reloadable with graceful
+// draining: a replica removed from the ring finishes its in-flight
+// requests before the router lets go of it.
 package route
 
 import (

@@ -59,20 +59,10 @@ type Config struct {
 	ReadmitAfter   int           // consecutive probe successes before readmission; default 2
 
 	// Deadline is the per-request budget assumed when the client sends no
-	// X-Deadline-Ms header; it is what the router prices sheds against
-	// and what it propagates to the replica. Default 30s.
+	// X-Deadline-Ms header; it bounds the forward and is what the router
+	// propagates to the replica, whose admission prices against it.
+	// Default 30s.
 	Deadline time.Duration
-
-	// ShedEnabled turns on early shedding: requests whose predicted
-	// completion on their shard (replica-advertised admission backlog and
-	// calibrated per-kind rates from /statusz) exceeds their deadline are
-	// refused at the edge with 429 + Retry-After, before burning a proxy
-	// hop. Off, the router still polls /statusz but never sheds.
-	ShedEnabled  bool
-	ShedHeadroom float64 // safety factor on the prediction; default 1.2
-	// StatuszMaxAge bounds how stale a replica's advertised state may be
-	// and still drive shedding; default 4×HealthInterval.
-	StatuszMaxAge time.Duration
 
 	Policy  string       // PolicyHash (default) or PolicyRandom
 	MaxBody int64        // request body cap in bytes; default 64 MiB
@@ -121,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
-	}
-	if c.ShedHeadroom <= 0 {
-		c.ShedHeadroom = 1.2
-	}
-	if c.StatuszMaxAge <= 0 {
-		c.StatuszMaxAge = 4 * c.HealthInterval
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyHash
@@ -431,52 +415,17 @@ func (rt *Router) candidates(key string) []*replica {
 	return out
 }
 
-// shedCheck prices one request against its shard's advertised admission
-// state. It sheds only on fresh, calibrated data: a replica that has
-// never reported, reports stale data, or has no rate for this kind gets
-// the request (the replica's own admission control is the backstop —
-// the edge shed is an optimization that saves the proxy hop, not the
-// correctness mechanism).
-func (rt *Router) shedCheck(rep *replica, kind string, cycles float64, deadline time.Duration) (time.Duration, bool) {
-	if !rt.cfg.ShedEnabled {
-		return 0, false
-	}
-	st := rep.status.Load()
-	if st == nil || time.Since(st.at) > rt.cfg.StatuszMaxAge {
-		return 0, false
-	}
-	// EstimateCostFile prices under the same kind a replica calibrates
-	// on either execution path: "graph-stream" names both the Design-1
-	// batch kernel and its pool fallback.
-	rate := st.s.Admit.Rates[kind]
-	if rate <= 0 {
-		return 0, false
-	}
-	workers := st.s.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	predicted := st.s.Admit.BacklogSeconds/float64(workers) + cycles/rate
-	if predicted*rt.cfg.ShedHeadroom <= deadline.Seconds() {
-		return 0, false
-	}
-	retry := time.Duration((predicted*rt.cfg.ShedHeadroom - deadline.Seconds()) * float64(time.Second))
-	if retry < time.Second {
-		retry = time.Second
-	}
-	return retry, true
-}
-
 // handleSolve is the proxy path: decode just enough to hash, place on
-// the ring, maybe shed at the edge, then forward with the remaining
-// deadline attached, failing over across ring successors on transport
-// errors. Upstream responses pass through verbatim — status, Retry-After,
-// cache disposition, request ID — so a client cannot tell one replica
-// from the fleet. Every request gets a hop span (decode_hash ->
-// candidate_pick -> admission_check -> one annotated proxy phase per
-// attempt) retained for /debug/dptrace, and every response — proxied or
-// router-originated — carries X-Request-ID, so a 429/502/503 minted here
-// is as traceable in client logs as a replica answer.
+// the ring, then forward with the remaining deadline attached, failing
+// over across ring successors on transport errors. Upstream responses
+// pass through verbatim — status, Retry-After, cache disposition,
+// request ID — so a client cannot tell one replica from the fleet, and a
+// replica's admission shed reaches the client as its own 429 +
+// Retry-After. Every request gets a hop span (decode_hash ->
+// candidate_pick -> one annotated proxy phase per attempt) retained for
+// /debug/dptrace, and every response — proxied or router-originated —
+// carries X-Request-ID, so a 400/502/503/504 minted here is as traceable
+// in client logs as a replica answer.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a spec.File JSON body", http.StatusMethodNotAllowed)
@@ -547,19 +496,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if len(cands) == 0 {
 		rt.metrics.NoReplica.Inc()
 		fail(http.StatusServiceUnavailable, "route: no healthy replica")
-		return
-	}
-
-	admitStart := time.Now()
-	kind, cycles := serve.EstimateCostFile(f)
-	retry, shed := rt.shedCheck(cands[0], kind, cycles, deadline)
-	hop.ObserveNote("admission_check", fmt.Sprintf("shed=%v", shed), admitStart, time.Now())
-	if shed {
-		rt.metrics.Shed.Inc()
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-		fail(http.StatusTooManyRequests,
-			fmt.Sprintf("route: shard overloaded, predicted completion exceeds deadline %v", deadline))
 		return
 	}
 
@@ -649,7 +585,7 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 
 // healthLoop probes every member each HealthInterval and applies
 // ejection/readmission hysteresis, refreshes /statusz snapshots for the
-// shed model, and reaps drained-out removed replicas.
+// fleet view, and reaps drained-out removed replicas.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(rt.cfg.HealthInterval)
@@ -719,7 +655,7 @@ func (rt *Router) observeProbe(rep *replica, ok bool) {
 	}
 }
 
-// refreshStatus pulls the replica's /statusz for the shed model.
+// refreshStatus pulls the replica's /statusz for the fleet view.
 func (rt *Router) refreshStatus(ctx context.Context, rep *replica) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/statusz", nil)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,13 +18,14 @@ import (
 )
 
 // fakeReplica is a scriptable upstream: counts solves, can fail health
-// probes, serve a canned statusz, or stall solves.
+// probes, serve a canned statusz, stall solves, or shed them.
 type fakeReplica struct {
 	ts       *httptest.Server
 	solves   atomic.Int64
 	unwell   atomic.Bool  // healthz answers 503
 	status   atomic.Value // serve.Statusz to serve; zero value if unset
 	stall    atomic.Int64 // per-solve delay in ms
+	shed     atomic.Int64 // > 0: /solve answers 429 with this Retry-After in seconds
 	lastHdrs atomic.Value // http.Header of the last /solve request
 }
 
@@ -32,6 +34,12 @@ func newFakeReplica() *fakeReplica {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
 		f.lastHdrs.Store(r.Header.Clone())
+		if ra := f.shed.Load(); ra > 0 {
+			w.Header().Set("Retry-After", strconv.FormatInt(ra, 10))
+			w.Header().Set("X-Request-ID", r.Header.Get("X-Request-ID"))
+			http.Error(w, "serve: admission shed", http.StatusTooManyRequests)
+			return
+		}
 		if d := f.stall.Load(); d > 0 {
 			time.Sleep(time.Duration(d) * time.Millisecond)
 		}
@@ -264,54 +272,22 @@ func TestRouterHysteresisCounters(t *testing.T) {
 	}
 }
 
-// Early shedding: when the shard's advertised backlog and calibrated
-// rate predict a deadline miss, the router answers 429 + Retry-After
-// without forwarding. Uncalibrated or stale state never sheds.
-func TestRouterEarlyShed(t *testing.T) {
+// The router's /statusz fleet view carries each replica's last polled
+// /statusz: backlog, drain flag and cache counters, with the snapshot's
+// age (-1 before the first poll).
+func TestRouterStatuszFleetView(t *testing.T) {
 	a := newFakeReplica()
 	defer a.ts.Close()
-	rt := newTestRouter(t, Config{
-		Replicas:       []string{a.base()},
-		HealthInterval: 10 * time.Millisecond,
-		ShedEnabled:    true,
-		ShedHeadroom:   1.0,
-		Deadline:       time.Second,
-	})
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-
-	// No statusz yet (zero rates): must forward, not shed.
-	resp, _ := postBody(t, ts.URL, chainBody(0))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("uncalibrated request status %d, want 200", resp.StatusCode)
-	}
-
-	// Advertise a huge backlog with a calibrated chain rate; wait for the
-	// poller to pick it up, then expect an edge shed.
 	a.status.Store(serve.Statusz{
-		Workers: 1,
-		Admit: serve.AdmitStatus{
-			BacklogSeconds: 3600,
-			Rates:          map[string]float64{"chain": 1e6},
-		},
+		Draining: true,
+		Admit:    serve.AdmitStatus{BacklogSeconds: 2.5},
+		Cache:    serve.CacheStatus{Hits: 7, Misses: 3},
 	})
-	waitFor(t, time.Second, func() bool {
-		rep := rt.Statusz()
-		return len(rep) == 1 && rep[0].BacklogSeconds > 0
-	})
-	solved := a.solves.Load()
-	resp, _ = postBody(t, ts.URL, chainBody(1))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded shard status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("edge shed missing Retry-After")
-	}
-	if a.solves.Load() != solved {
-		t.Error("shed request still burned a proxy hop")
-	}
-	if rt.Metrics().Shed.Value() != 1 {
-		t.Errorf("shed counter %d, want 1", rt.Metrics().Shed.Value())
+	rt := newTestRouter(t, Config{Replicas: []string{a.base()}, HealthInterval: 10 * time.Millisecond})
+	waitFor(t, time.Second, func() bool { return rt.Statusz()[0].StatusAgeMs >= 0 })
+	got := rt.Statusz()[0]
+	if got.BacklogSeconds != 2.5 || !got.ReplicaDraining || got.CacheHits != 7 || got.CacheMisses != 3 {
+		t.Errorf("fleet view %+v does not carry the replica's /statusz", got)
 	}
 }
 
@@ -508,50 +484,5 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// A micro-batching replica calibrates Design-1 graphs under the stream
-// kernel's kind, "graph-stream", and EstimateCostFile must price the
-// same request under that kind, so the edge shed sees the replica's
-// calibrated batched rate instead of forwarding into the hour-long
-// backlog.
-func TestRouterEarlyShedBatchedKinds(t *testing.T) {
-	a := newFakeReplica()
-	defer a.ts.Close()
-	rt := newTestRouter(t, Config{
-		Replicas:       []string{a.base()},
-		HealthInterval: 10 * time.Millisecond,
-		ShedEnabled:    true,
-		ShedHeadroom:   1.0,
-		Deadline:       time.Second,
-	})
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-
-	// The replica batches Design-1 graphs: only "graph-stream" is
-	// calibrated.
-	a.status.Store(serve.Statusz{
-		Workers: 1,
-		Admit: serve.AdmitStatus{
-			BacklogSeconds: 3600,
-			Rates:          map[string]float64{"graph-stream": 1e6},
-		},
-	})
-	waitFor(t, time.Second, func() bool {
-		rep := rt.Statusz()
-		return len(rep) == 1 && rep[0].BacklogSeconds > 0
-	})
-	solved := a.solves.Load()
-	graph := `{"problem":"graph","design":1,"costs":[[[1,2,3]],[[4,5,6],[7,8,9],[1,1,1]],[[2],[3],[4]]]}`
-	resp, _ := postBody(t, ts.URL, graph)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("batched-kind overload status %d, want 429 (edge shed blind to batch rates)", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("edge shed missing Retry-After")
-	}
-	if a.solves.Load() != solved {
-		t.Error("shed request still burned a proxy hop")
 	}
 }

@@ -68,8 +68,8 @@ func TestRouterTracePropagation(t *testing.T) {
 	for _, p := range hop.Phases {
 		phases = append(phases, p.Name)
 	}
-	if got := strings.Join(phases, ","); got != "decode_hash,candidate_pick,admission_check,proxy" {
-		t.Errorf("hop phases %q, want decode_hash,candidate_pick,admission_check,proxy", got)
+	if got := strings.Join(phases, ","); got != "decode_hash,candidate_pick,proxy" {
+		t.Errorf("hop phases %q, want decode_hash,candidate_pick,proxy", got)
 	}
 
 	// A client that already traces stays the root: its trace id is kept.
@@ -91,9 +91,10 @@ func TestRouterTracePropagation(t *testing.T) {
 	}
 }
 
-// Every router-originated error response must carry X-Request-ID: a 429
-// or 503 minted at the edge has to be as traceable in client logs as a
-// replica answer. One subtest per router status path.
+// Every error response from the router must carry X-Request-ID: a 503
+// minted at the edge has to be as traceable in client logs as a replica
+// answer, and a replica's 429 must pass through with its Retry-After.
+// One subtest per router status path.
 func TestRouterRequestIDOnEveryStatusPath(t *testing.T) {
 	post := func(t *testing.T, url, body string, hdr map[string]string) *http.Response {
 		t.Helper()
@@ -131,29 +132,25 @@ func TestRouterRequestIDOnEveryStatusPath(t *testing.T) {
 		check(t, post(t, ts.URL, "{not json", nil), http.StatusBadRequest)
 	})
 
-	t.Run("429 edge shed", func(t *testing.T) {
+	t.Run("429 replica shed", func(t *testing.T) {
 		a := newFakeReplica()
 		defer a.ts.Close()
-		a.status.Store(serve.Statusz{
-			Workers: 1,
-			Admit: serve.AdmitStatus{
-				BacklogSeconds: 3600,
-				Rates:          map[string]float64{"chain": 1e6},
-			},
-		})
-		rt := newTestRouter(t, Config{
-			Replicas:       []string{a.base()},
-			HealthInterval: 10 * time.Millisecond,
-			ShedEnabled:    true,
-			Deadline:       time.Second,
-		})
+		a.shed.Store(3)
+		rt := newTestRouter(t, Config{Replicas: []string{a.base()}})
 		ts := httptest.NewServer(rt.Handler())
 		defer ts.Close()
-		waitFor(t, time.Second, func() bool {
-			rep := rt.Statusz()
-			return len(rep) == 1 && rep[0].BacklogSeconds > 0
-		})
-		check(t, post(t, ts.URL, chainBody(0), nil), http.StatusTooManyRequests)
+		resp := post(t, ts.URL, chainBody(0), nil)
+		check(t, resp, http.StatusTooManyRequests)
+		if ra := resp.Header.Get("Retry-After"); ra != "3" {
+			t.Errorf("Retry-After %q, want the replica's 3", ra)
+		}
+		hdrs, _ := a.lastHdrs.Load().(http.Header)
+		if hdrs == nil {
+			t.Fatal("replica never received the request")
+		}
+		if id := hdrs.Get("X-Request-ID"); id != resp.Header.Get("X-Request-ID") {
+			t.Errorf("client saw request id %q, replica %q", resp.Header.Get("X-Request-ID"), id)
+		}
 	})
 
 	t.Run("502 all replicas failed", func(t *testing.T) {

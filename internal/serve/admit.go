@@ -36,7 +36,6 @@ import (
 	"systolicdp/internal/align"
 	"systolicdp/internal/core"
 	"systolicdp/internal/knapsack"
-	"systolicdp/internal/spec"
 )
 
 // UnpricedKind is the calibration bucket for problems with no
@@ -102,93 +101,6 @@ func EstimateCost(p core.Problem) (kind string, cycles float64) {
 			total += float64(len(ds[i]) * len(ds[i+1]) * len(ds[i+2]))
 		}
 		return "nonserial", total + 1
-	case *core.MatrixStringProblem:
-		total := 0.0
-		for i := 0; i+1 < len(q.Matrices); i++ {
-			total += float64(q.Matrices[i].Rows * q.Matrices[i].Cols * q.Matrices[i+1].Cols)
-		}
-		return "matrixstring", total + 1
-	default:
-		return UnpricedKind, 1
-	}
-}
-
-// EstimateCostFile prices a decoded spec without building the problem:
-// the same (kind, cycles) EstimateCost would return for f.Build(), read
-// straight off the File's dimensions. It exists for the routing tier,
-// which must price a request from the wire bytes it already decoded for
-// hashing — constructing matrices just to count their cells would cost
-// more than the estimate is worth. The two functions are kept in lockstep
-// by TestEstimateCostFileMatchesProblem; the units must agree because a
-// router-side estimate is divided by replica-calibrated rates that are
-// denominated in EstimateCost units.
-func EstimateCostFile(f *spec.File) (kind string, cycles float64) {
-	switch f.Problem {
-	case "graph":
-		if f.Design == 1 && len(f.Costs) >= 2 {
-			last := f.Costs[len(f.Costs)-1]
-			if len(last) > 0 && len(last[0]) == 1 {
-				// Single-sink stream: K' = stage matrices minus the sink
-				// column, m = the sink column's length (core.
-				// StreamProblemFromGraph's decomposition).
-				kp, m := float64(len(f.Costs)-1), float64(len(last))
-				return "graph-stream", kp*m + m - 1
-			}
-		}
-		total := 0.0
-		for _, rows := range f.Costs {
-			if len(rows) > 0 {
-				total += float64(len(rows) * len(rows[0]))
-			}
-		}
-		return "graph", total
-	case "nodevalued":
-		total := 0.0
-		for k := 0; k+1 < len(f.Values); k++ {
-			total += float64(len(f.Values[k]) * len(f.Values[k+1]))
-		}
-		return "nodevalued", total + 1
-	case "dtw":
-		return "dtw", float64(len(f.X)*len(f.Y)) + 1
-	case "chain":
-		n := float64(len(f.Dims) - 1)
-		return "chain", n*n*n/6 + n*n + 1
-	case "nonserial":
-		total := 0.0
-		for i := 0; i+2 < len(f.Domains); i++ {
-			total += float64(len(f.Domains[i]) * len(f.Domains[i+1]) * len(f.Domains[i+2]))
-		}
-		return "nonserial", total + 1
-	case "align":
-		return "align", float64(align.Cells(len(f.X), len(f.Y))) + 1
-	case "viterbi":
-		// The trellis wire form reuses Values for per-stage node costs:
-		// edges = sum of adjacent stage-size products, plus the final fold.
-		total := 0.0
-		for k := 0; k+1 < len(f.Values); k++ {
-			total += float64(len(f.Values[k]) * len(f.Values[k+1]))
-		}
-		if n := len(f.Values); n > 0 {
-			total += float64(len(f.Values[n-1]))
-		}
-		return "viterbi", total + 1
-	case "knapsack":
-		// Same horizon closed form as knapsack.Horizon, read off the wire
-		// fields: min(max due, total processing).
-		sumProc, maxDue := 0, 0
-		for _, p := range f.Proc {
-			sumProc += p
-		}
-		for _, d := range f.Due {
-			if d > maxDue {
-				maxDue = d
-			}
-		}
-		horizon := maxDue
-		if sumProc < horizon {
-			horizon = sumProc
-		}
-		return "knapsack", float64(len(f.Proc)*(horizon+1)) + 1
 	default:
 		return UnpricedKind, 1
 	}

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"systolicdp/internal/core"
-	"systolicdp/internal/multistage"
 	"systolicdp/internal/obs"
-	"systolicdp/internal/pipearray"
 )
 
 // Batcher micro-batches concurrent Design-1 graph requests: problems of
@@ -316,24 +314,6 @@ func (b *Batcher) flush(bt *batch) {
 // SetAdmitter points batch-solve rate observations at the admission
 // controller's calibration. Call before serving.
 func (b *Batcher) SetAdmitter(a *Admitter) { b.admit = a }
-
-// StreamCycles exposes the cycle model for a hypothetical flush of n
-// instances of graph g — used by tests and capacity planning.
-func (b *Batcher) StreamCycles(g *multistage.Graph, n int) (int, error) {
-	sp, err := core.StreamProblemFromGraph(g)
-	if err != nil {
-		return 0, err
-	}
-	problems := make([]pipearray.StreamProblem, n)
-	for i := range problems {
-		problems[i] = sp
-	}
-	st, err := pipearray.NewStream(problems)
-	if err != nil {
-		return 0, err
-	}
-	return st.WallCycles(), nil
-}
 
 // Close flushes every pending batch, waits for outstanding flushes, and
 // rejects subsequent Submits with ErrShutdown.

@@ -317,14 +317,21 @@ func TestServeBadSpec400(t *testing.T) {
 		`{not json`,
 		`{"problem":"warp-drive"}`,
 		`{"problem":"chain","dims":[5]}`,
+		// Graph designs the arrays cannot run are the client's error.
+		`{"problem":"graph","design":7,"costs":[[[1,2]],[[1],[3]]]}`,
+		`{"problem":"graph","design":-1,"costs":[[[1,2]],[[1],[3]]]}`,
+		`{"problem":"graph","design":1,"costs":[[[1,2]],[[1,2],[3,4]]]}`,
+		`{"problem":"graph","design":2,"costs":[[[1,2]],[[1,2],[3,4]]]}`,
+		`{"problem":"graph","design":1,"costs":[[[1],[2]],[[1]]]}`,
+		`{"problem":"graph","design":2,"costs":[[[3]]]}`,
 	} {
 		status, _, _, _ := postSpec(t, ts.URL, body)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", body, status)
 		}
 	}
-	if got := s.Metrics().Errors.Value(); got != 3 {
-		t.Errorf("errors = %d, want 3", got)
+	if got := s.Metrics().Errors.Value(); got != 9 {
+		t.Errorf("errors = %d, want 9", got)
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 )
 
 // Statusz is the machine-readable replica status served at /statusz. It
-// is the router tier's view of one dpserve: whether it is draining, how
-// loaded its admission backlog is, and the calibrated per-kind service
-// rates a router needs to price requests at the edge (shed with a
-// model-derived Retry-After before burning a proxy hop). The schema is
-// part of the serving contract — internal/route decodes exactly this
-// shape — so fields are additive-only.
+// is the router tier's view of one dpserve, aggregated into the router's
+// own /statusz fleet view that dptop reads: whether it is draining, how
+// loaded its admission backlog is, the calibrated per-kind service rates
+// its admission prices with, and its cache counters. The schema is part
+// of the serving contract — internal/route decodes exactly this shape —
+// so fields are additive-only.
 type Statusz struct {
 	Draining   bool        `json:"draining"`
 	Workers    int         `json:"workers"`

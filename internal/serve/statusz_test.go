@@ -3,15 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"systolicdp/internal/check"
 	"systolicdp/internal/spec"
 )
 
@@ -126,30 +123,6 @@ func TestHealthzFlipsOnBeginDrain(t *testing.T) {
 	s.Close()
 }
 
-// EstimateCostFile must agree exactly with EstimateCost on the built
-// problem for every generator kind: the router divides File-level
-// estimates by replica-calibrated rates that are denominated in
-// problem-level units.
-func TestEstimateCostFileMatchesProblem(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 400; i++ {
-		in := check.Gen(rng, check.GenConfig{})
-		if in.File.Validate() != nil {
-			continue
-		}
-		p, err := in.File.Build()
-		if err != nil {
-			continue
-		}
-		wantKind, wantCycles := EstimateCost(p)
-		gotKind, gotCycles := EstimateCostFile(&in.File)
-		if gotKind != wantKind || math.Abs(gotCycles-wantCycles) > 1e-9 {
-			t.Fatalf("instance %v: EstimateCostFile = (%s, %g), EstimateCost = (%s, %g)",
-				in, gotKind, gotCycles, wantKind, wantCycles)
-		}
-	}
-}
-
 // A request arriving with X-Deadline-Ms is priced against that deadline,
 // not the server's -timeout. Regression test for deadline loss across a
 // proxy hop: before the header existed, a replica admitted (and solved)
@@ -163,11 +136,11 @@ func TestDeadlineHeaderHonoredByAdmission(t *testing.T) {
 	// Pin the chain rate so the model predicts ~1s of work: shed against
 	// a 50 ms edge deadline, admitted against the 30 s default.
 	const body = `{"problem":"chain","dims":[30,35,15,5,10,20,25]}`
-	f, err := spec.Decode([]byte(body))
+	p, err := spec.Parse([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cycles := EstimateCostFile(f)
+	_, cycles := EstimateCost(p)
 	s.admit.setRate("chain", cycles) // 1 second predicted
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve", strings.NewReader(body))

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -37,21 +36,12 @@ func TestEstimateCostExhaustive(t *testing.T) {
 			if cycles < 1 {
 				t.Fatalf("kind %s trial %d: EstimateCost cycles = %g, want >= 1", kind, trial, cycles)
 			}
-			fk, fcycles := EstimateCostFile(&in.File)
-			if fk == UnpricedKind {
-				t.Fatalf("kind %s trial %d: EstimateCostFile fell through to the %q default — add a pricing arm",
-					kind, trial, UnpricedKind)
-			}
-			if fk != pk || math.Abs(fcycles-cycles) > 1e-9 {
-				t.Fatalf("kind %s trial %d: EstimateCostFile = (%s, %g), EstimateCost = (%s, %g)",
-					kind, trial, fk, fcycles, pk, cycles)
-			}
 		}
 	}
 }
 
 // Degenerate shapes the random generator only hits probabilistically:
-// the pricing lockstep must hold on them deterministically.
+// each must still hit a real pricing arm, and solve.
 func TestEstimateCostDegenerateShapes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,11 +63,8 @@ func TestEstimateCostDegenerateShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Build: %v", tc.name, err)
 		}
-		pk, cycles := EstimateCost(p)
-		fk, fcycles := EstimateCostFile(&tc.file)
-		if pk == UnpricedKind || fk != pk || math.Abs(fcycles-cycles) > 1e-9 {
-			t.Fatalf("%s: EstimateCostFile = (%s, %g), EstimateCost = (%s, %g)",
-				tc.name, fk, fcycles, pk, cycles)
+		if pk, cycles := EstimateCost(p); pk == UnpricedKind || cycles < 1 {
+			t.Fatalf("%s: EstimateCost = (%s, %g), want a priced kind and cycles >= 1", tc.name, pk, cycles)
 		}
 		if _, err := core.Solve(p); err != nil {
 			t.Fatalf("%s: Solve: %v", tc.name, err)

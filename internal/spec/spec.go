@@ -127,10 +127,13 @@ func (f *File) Build() (core.Problem, error) {
 			}
 			g.StageSizes = append(g.StageSizes, m.Cols)
 		}
-		if err := g.Validate(); err != nil {
+		// Validate the design too: a design the arrays cannot run is the
+		// client's error, not a solver failure.
+		p := &core.MultistageProblem{Graph: g, Design: f.Design}
+		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("spec: %v", err)
 		}
-		return &core.MultistageProblem{Graph: g, Design: f.Design}, nil
+		return p, nil
 
 	case "nodevalued":
 		name := f.Cost

@@ -101,6 +101,13 @@ func TestParseErrors(t *testing.T) {
 		[]byte(`{"problem":"nonserial","domains":[[1]]}`),
 		[]byte(`{"problem":"nonserial","domains":[[1],[2],[3]],"cost":"nope"}`),
 		[]byte(`{"problem":"nodevalued","values":[[1]]}`),
+		// Graph designs the arrays cannot run.
+		[]byte(`{"problem":"graph","design":7,"costs":[[[1,2]],[[1],[3]]]}`),
+		[]byte(`{"problem":"graph","design":-1,"costs":[[[1,2]],[[1],[3]]]}`),
+		[]byte(`{"problem":"graph","design":1,"costs":[[[1,2]],[[1,2],[3,4]]]}`), // two sinks
+		[]byte(`{"problem":"graph","design":2,"costs":[[[1,2]],[[1,2],[3,4]]]}`), // two sinks
+		[]byte(`{"problem":"graph","design":1,"costs":[[[1],[2]],[[1]]]}`),       // source wider than m
+		[]byte(`{"problem":"graph","design":2,"costs":[[[3]]]}`),                 // one matrix
 	}
 	for i, b := range bad {
 		if _, err := Parse(b); err == nil {
