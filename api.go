@@ -275,8 +275,9 @@ func OptimalEliminationOrder(stageSizes []int) (int, []int, error) {
 
 // DTWDistance computes the dynamic-time-warping distance between two
 // series — the pattern-recognition DP of the paper's Section 1 citations
-// — on the anti-diagonal systolic array (n+m-1 cycles), cross-checked
-// against the sequential lattice internally.
+// — on the anti-diagonal systolic array (n+m-1 cycles). It runs only the
+// array; dpcheck diffs the array bitwise against dtw.Sequential, the
+// sweep the server runs.
 func DTWDistance(x, y []float64) (float64, error) {
 	arr, err := dtw.New(y, dtw.AbsDist)
 	if err != nil {

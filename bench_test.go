@@ -581,7 +581,7 @@ func BenchmarkDTW(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dtw.Sequential(x, y, dtw.AbsDist); err != nil {
+			if _, err := dtw.Sequential(x, y, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

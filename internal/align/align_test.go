@@ -1,8 +1,10 @@
 package align
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ func bruteForce(x, y []float64, p Params) float64 {
 		}
 		best := math.Inf(1)
 		if i < len(x) && j < len(y) {
-			if v := sub(x[i], y[j]) + rec(i+1, j+1, moveMatch); v < best {
+			if v := math.Abs(x[i]-y[j]) + rec(i+1, j+1, moveMatch); v < best {
 				best = v
 			}
 		}
@@ -76,6 +78,75 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// fullGotoh is Gotoh's recurrence over the whole (|x|+1) × (|y|+1)
+// table, one slice per layer and each min in the textbook operand
+// order: an oracle that shares neither the sweep's interleaved rows nor
+// its carried left cell.
+func fullGotoh(x, y []float64, p Params) float64 {
+	inf := math.Inf(1)
+	oe := p.Open + p.Ext
+	M, X, Y := make([][]float64, len(x)+1), make([][]float64, len(x)+1), make([][]float64, len(x)+1)
+	for i := range M {
+		M[i], X[i], Y[i] = make([]float64, len(y)+1), make([]float64, len(y)+1), make([]float64, len(y)+1)
+		for j := range M[i] {
+			switch {
+			case i == 0 && j == 0:
+				M[i][j], X[i][j], Y[i][j] = 0, inf, inf
+			case i == 0:
+				M[i][j], X[i][j] = inf, inf
+				Y[i][j] = min(M[i][j-1]+oe, Y[i][j-1]+p.Ext, X[i][j-1]+oe)
+			case j == 0:
+				M[i][j], Y[i][j] = inf, inf
+				X[i][j] = min(M[i-1][j]+oe, X[i-1][j]+p.Ext, Y[i-1][j]+oe)
+			default:
+				M[i][j] = math.Abs(x[i-1]-y[j-1]) + min(M[i-1][j-1], X[i-1][j-1], Y[i-1][j-1])
+				X[i][j] = min(M[i-1][j]+oe, X[i-1][j]+p.Ext, Y[i-1][j]+oe)
+				Y[i][j] = min(M[i][j-1]+oe, Y[i][j-1]+p.Ext, X[i][j-1]+oe)
+			}
+		}
+	}
+	n, m := len(x), len(y)
+	return min(M[n][m], X[n][m], Y[n][m])
+}
+
+func TestSequentialMatchesFullTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := [][2]int{{0, 40}, {40, 0}, {1, 40}, {40, 1}, {3, 300}, {37, 41}}
+	for _, sh := range shapes {
+		// Non-integer samples and penalties, so any change in the order
+		// of a sum would show in the last bit.
+		x, y := make([]float64, sh[0]), make([]float64, sh[1])
+		for _, s := range [][]float64{x, y} {
+			for i := range s {
+				s[i] = rng.Float64()*20 - 10
+			}
+		}
+		p := Params{Open: rng.Float64() * 5, Ext: rng.Float64() * 2}
+		got, err := Sequential(x, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fullGotoh(x, y, p); got != want {
+			t.Errorf("%dx%d %+v: Sequential %v, full table %v", sh[0], sh[1], p, got, want)
+		}
+	}
+}
+
+// TestSequentialAllocatesTwoRows pins the sweep's storage at two rows of
+// interleaved cells.
+func TestSequentialAllocatesTwoRows(t *testing.T) {
+	x, y := randSeries(rand.New(rand.NewSource(3)), 37), randSeries(rand.New(rand.NewSource(4)), 41)
+	p := Params{Open: 3, Ext: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Sequential(x, y, p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("%v allocs per solve, want 2", allocs)
+	}
+}
+
 func TestEmptySeries(t *testing.T) {
 	p := Params{Open: 3, Ext: 2}
 	if got, _ := Sequential(nil, nil, p); got != 0 {
@@ -111,5 +182,58 @@ func TestBadParams(t *testing.T) {
 	}
 	if _, err := Sequential(nil, nil, Params{Ext: math.NaN()}); err == nil {
 		t.Fatal("NaN ext accepted")
+	}
+	// Regression: Validate ranged over a map, so with both penalties bad
+	// the error named either one.
+	seen := map[string]int{}
+	for i := 0; i < 100; i++ {
+		_, err := Sequential(nil, nil, Params{Open: -1, Ext: -2})
+		if err == nil {
+			t.Fatal("negative penalties accepted")
+		}
+		seen[err.Error()]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("100 calls gave %d different errors: %v", len(seen), seen)
+	}
+	for msg := range seen {
+		if !strings.Contains(msg, "open") {
+			t.Fatalf("error %q, want it to name open", msg)
+		}
+	}
+}
+
+// benchShapes are the kernel benchmark lattices, |x| × |y|, the same as
+// dtw's: a series against one sample, mix-small's largest square, a
+// mid-size square, a compute-large-size lattice, and a thin lattice.
+var benchShapes = [][2]int{{36, 1}, {36, 36}, {256, 256}, {1000, 963}, {3, 900}}
+
+var benchSink float64
+
+// BenchmarkAlignSequential times the served path per boundary-inclusive
+// lattice cell, (|x|+1)(|y|+1) of them.
+func BenchmarkAlignSequential(b *testing.B) {
+	p := Params{Open: 3, Ext: 1}
+	for _, sh := range benchShapes {
+		n, m := sh[0], sh[1]
+		b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			x, y := make([]float64, n), make([]float64, m)
+			for _, s := range [][]float64{x, y} {
+				for i := range s {
+					s[i] = float64(rng.Intn(1999) - 999) // [-999, 999]
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := Sequential(x, y, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = v
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64((n+1)*(m+1)), "ns/cell")
+		})
 	}
 }

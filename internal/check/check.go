@@ -623,14 +623,15 @@ func (c *checker) checkNodeValuedSemiring(p *multistage.NodeValued, s semiring.C
 	}
 }
 
-// checkDTW cross-checks the sequential DTW recurrence, the engine
-// core.Solve serves, against the anti-diagonal systolic array under
-// both runners, asserts the n+m-1 wavefront cycle count, and uses the
+// checkDTW cross-checks the sequential DTW sweep, with the nil
+// distance core.Solve passes, against the anti-diagonal systolic array
+// under both runners, asserts the n+m-1 wavefront cycle count, uses the
 // symmetry of the lattice (DTW(x,y) == DTW(y,x) for a symmetric
-// distance) as a metamorphic invariant.
+// distance) as a metamorphic invariant against the array built on x,
+// and diffs the serving wire path.
 func (c *checker) checkDTW() {
 	x, y := c.inst.File.X, c.inst.File.Y
-	seq, err := dtw.Sequential(x, y, dtw.AbsDist)
+	seq, err := dtw.Sequential(x, y, nil)
 	if err != nil {
 		c.addf("result", "dtw-sequential", "%v", err)
 		return
@@ -654,9 +655,17 @@ func (c *checker) checkDTW() {
 	}
 	c.cmpScalar("result", "dtw-lockstep vs dtw-goroutines", lock, gor)
 	c.cmpInt("cycles", "dtw-lockstep vs dtw-goroutines", cyc, gcyc)
-	sym, err := dtw.Sequential(y, x, dtw.AbsDist)
-	if err == nil {
-		c.cmpScalar("result", "dtw(x,y) vs dtw(y,x) symmetry", seq, sym)
+	// The symmetric arm runs the array with the series' roles swapped:
+	// Sequential transposes to the shorter side itself, so
+	// Sequential(y, x) would repeat seq's sweep on every non-square
+	// lattice.
+	if r, err := dtw.New(x, dtw.AbsDist); err == nil {
+		if sym, _, err := r.Match(y, false); err == nil {
+			c.cmpScalar("result", "dtw(x,y) vs dtw-lockstep(y,x) symmetry", seq, sym)
+		}
+	}
+	if sol := c.solveSpec("dtw"); sol != nil {
+		c.cmpScalar("result", "dtw-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
 }
 

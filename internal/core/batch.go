@@ -15,7 +15,8 @@ import (
 // DTWProblem is the pattern-recognition DP of the paper's Section 1
 // citations: dynamic time warping of a query series X against a template
 // Y. The anti-diagonal linear systolic array (dtw.New) computes it in
-// n+m-1 cycles; Solve serves it with the rolling-row recurrence.
+// n+m-1 cycles; Solve serves it with dtw.Sequential, which sweeps the
+// same anti-diagonals one after another on one core.
 type DTWProblem struct {
 	X, Y []float64
 }
@@ -32,7 +33,7 @@ func (p *DTWProblem) Describe() string {
 func solveDTW(p *DTWProblem) (*Solution, error) {
 	// dtw.Sequential under |a-b|, the reference the differential checker
 	// diffs bitwise against the cycle-stepped array; one solve holds one
-	// core and two rolling rows.
+	// core and two diagonals of min(|x|,|y|) floats.
 	d, err := dtw.Sequential(p.X, p.Y, nil)
 	if err != nil {
 		return nil, err

@@ -10,6 +10,12 @@
 // shared engine. Row tokens stream through the array and anti-diagonals
 // of the lattice compute in parallel, finishing in n+m-1 cycles — the
 // classic systolic wavefront for this recurrence.
+//
+// The baseline, Sequential, is also the serving engine, and it sweeps the
+// lattice in the array's order: one anti-diagonal after another. The
+// cells of a diagonal do not depend on each other, so one core overlaps
+// their adds and mins where a row sweep would wait on the cell to the
+// left of each.
 package dtw
 
 import (
@@ -29,34 +35,58 @@ func AbsDist(a, b float64) float64 { return math.Abs(a - b) }
 func SqDist(a, b float64) float64 { return (a - b) * (a - b) }
 
 // Sequential computes the DTW distance between x and y with the O(n*m)
-// baseline DP.
+// DP, one anti-diagonal at a time. It holds two diagonals of
+// min(|x|,|y|) floats. A nil d is |a-b|, evaluated inline.
 func Sequential(x, y []float64, d Dist) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("dtw: empty series")
 	}
-	if d == nil {
-		d = AbsDist
+	// Run the diagonals along the shorter series. The transposed lattice
+	// charges d(y_j, x_i) at (j, i), so d's operands swap back.
+	if len(x) > len(y) {
+		x, y = y, x
+		if d != nil {
+			d0 := d
+			d = func(a, b float64) float64 { return d0(b, a) }
+		}
+	}
+	at := func(i, j int) float64 {
+		if d == nil {
+			return math.Abs(x[i] - y[j])
+		}
+		return d(x[i], y[j])
 	}
 	n, m := len(x), len(y)
-	prev := make([]float64, m)
-	cur := make([]float64, m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			c := d(x[i], y[j])
-			switch {
-			case i == 0 && j == 0:
-				cur[j] = c
-			case i == 0:
-				cur[j] = c + cur[j-1]
-			case j == 0:
-				cur[j] = c + prev[j]
-			default:
-				cur[j] = c + min(prev[j], cur[j-1], prev[j-1])
+	// Both buffers are indexed by the row i of cell (i, k-i). On
+	// diagonal k, prev holds k-1 and cur holds k-2, which k overwrites
+	// from the bottom row up: cell i reads k-2 only at row i-1.
+	prev := make([]float64, n)
+	cur := make([]float64, n)
+	cur[0] = at(0, 0)
+	for k := 1; k < n+m-1; k++ {
+		prev, cur = cur, prev
+		if k < n {
+			cur[k] = at(k, 0) + prev[k-1] // column 0
+		}
+		// Interior rows: up is prev[i-1], left prev[i], diagonal cur[i-1].
+		lo, hi := max(1, k-m+1), min(k-1, n-1)
+		// A nil d, the served path, is |a-b| inline. One loop calling
+		// AbsDist through d ran 6.7 against 4.4 ns per cell at 1000x963
+		// and 6.9 against 4.5 at 256x256 (2-vCPU Xeon, EXPERIMENTS.md).
+		if d == nil {
+			for i := hi; i >= lo; i-- {
+				cur[i] = math.Abs(x[i]-y[k-i]) + min(prev[i-1], prev[i], cur[i-1])
+			}
+		} else {
+			for i := hi; i >= lo; i-- {
+				cur[i] = d(x[i], y[k-i]) + min(prev[i-1], prev[i], cur[i-1])
 			}
 		}
-		prev, cur = cur, prev
+		if k < m {
+			cur[0] = at(0, k) + prev[0] // row 0, after row 1 read the old cur[0]
+		}
 	}
-	return prev[m-1], nil
+	return cur[n-1], nil
 }
 
 // pe is one column processor: it owns y_j, its previous-row value

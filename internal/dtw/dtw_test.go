@@ -1,8 +1,10 @@
 package dtw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,97 @@ func TestSequentialErrors(t *testing.T) {
 	}
 }
 
+// fullTable is the textbook DTW over the whole |x| × |y| table, row by
+// row with a nil d taken as AbsDist: an oracle that shares neither the
+// sweep's diagonal order nor its transpose.
+func fullTable(x, y []float64, d Dist) float64 {
+	if d == nil {
+		d = AbsDist
+	}
+	D := make([][]float64, len(x))
+	for i := range x {
+		D[i] = make([]float64, len(y))
+		for j := range y {
+			c := d(x[i], y[j])
+			switch {
+			case i == 0 && j == 0:
+				D[i][j] = c
+			case i == 0:
+				D[i][j] = c + D[i][j-1]
+			case j == 0:
+				D[i][j] = c + D[i-1][j]
+			default:
+				D[i][j] = c + min(D[i-1][j], D[i][j-1], D[i-1][j-1])
+			}
+		}
+	}
+	return D[len(x)-1][len(y)-1]
+}
+
+func TestSequentialMatchesFullTable(t *testing.T) {
+	dists := []struct {
+		name string
+		d    Dist
+	}{
+		{"nil", nil},
+		{"abs", AbsDist},
+		{"sq", SqDist},
+		// Asymmetric, so a transpose that forgets to swap d's operands
+		// changes the answer.
+		{"asym", func(a, b float64) float64 { return math.Abs(2*a - b) }},
+	}
+	shapes := [][2]int{{1, 1}, {1, 40}, {40, 1}, {3, 500}, {500, 3}, {37, 41}, {41, 37}}
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range shapes {
+		x, y := randomSeries(rng, sh[0]), randomSeries(rng, sh[1])
+		for _, dc := range dists {
+			got, err := Sequential(x, y, dc.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fullTable(x, y, dc.d); got != want {
+				t.Errorf("%dx%d %s: Sequential %v, full table %v", sh[0], sh[1], dc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestSequentialAllocatesTwoDiagonals pins the sweep's storage at two
+// slices of min(|x|,|y|) floats, in either orientation, on a lattice at
+// Validate's 2^24-cell cap. A row sweep along y would hold 2·2^20
+// floats (16 MiB) for the first shape.
+func TestSequentialAllocatesTwoDiagonals(t *testing.T) {
+	short, long := make([]float64, 16), make([]float64, 1<<20)
+	const wantAllocs, wantBytes = 2, 2 * 16 * 8
+	for _, tc := range []struct {
+		name string
+		x, y []float64
+		d    Dist
+	}{
+		{"16x2^20", short, long, nil},
+		{"2^20x16", long, short, AbsDist},
+	} {
+		// Other goroutines (the race runtime's among them) can only add
+		// to the process-wide counters, so the fewest of up to three
+		// solves bounds what one solve allocates.
+		allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for try := 0; try < 3 && (allocs != wantAllocs || bytes != wantBytes); try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Sequential(tc.x, tc.y, tc.d); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		if allocs != wantAllocs || bytes != wantBytes {
+			t.Errorf("%s: %d allocs and %d bytes per solve, want %d and %d (two slices of 16 floats)",
+				tc.name, allocs, bytes, wantAllocs, wantBytes)
+		}
+	}
+}
+
 func TestArrayMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
@@ -73,7 +166,8 @@ func TestArrayMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (n=%d m=%d): %v", trial, n, m, err)
 		}
-		if math.Abs(got-want) > 1e-9 {
+		// The array and the sweep add the same operands per cell.
+		if got != want {
 			t.Fatalf("trial %d (n=%d m=%d): array %v, sequential %v", trial, n, m, got, want)
 		}
 		if cycles != n+m-1 {
@@ -122,7 +216,7 @@ func TestArrayReuseAcrossQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9 {
+		if got != want {
 			t.Fatalf("query %d: %v vs %v", q, got, want)
 		}
 	}
@@ -173,7 +267,7 @@ func TestPropertyArrayEqualsSequential(t *testing.T) {
 			return false
 		}
 		got, _, err := arr.Match(x, false)
-		return err == nil && math.Abs(got-want) < 1e-9
+		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -229,14 +323,43 @@ func TestMatchBankErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkDTWSequential256(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	x, y := randomSeries(rng, 256), randomSeries(rng, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sequential(x, y, AbsDist); err != nil {
-			b.Fatal(err)
-		}
+// benchShapes are the kernel benchmark lattices, |x| × |y|: a series
+// against one sample, mix-small's largest square, a mid-size square, a
+// compute-large-size lattice, and a thin lattice that leaves the
+// wavefront three cells wide.
+var benchShapes = [][2]int{{36, 1}, {36, 36}, {256, 256}, {1000, 963}, {3, 900}}
+
+// intSeries draws integer samples in [-999, 999], the range of
+// compute-large's dtw series in perfbench.
+func intSeries(rng *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = float64(rng.Intn(1999) - 999)
+	}
+	return s
+}
+
+var benchSink float64
+
+// BenchmarkDTWSequential times the served path (nil Dist) per lattice
+// cell.
+func BenchmarkDTWSequential(b *testing.B) {
+	for _, sh := range benchShapes {
+		n, m := sh[0], sh[1]
+		b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			x, y := intSeries(rng, n), intSeries(rng, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := Sequential(x, y, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = v
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*m), "ns/cell")
+		})
 	}
 }
 

@@ -103,16 +103,21 @@ func (f *File) Validate() error {
 		}
 	}
 
-	for name, xs := range map[string][]float64{"x": f.X, "y": f.Y} {
-		if len(xs) > MaxSpecSeries {
-			return fmt.Errorf("spec: %s has %d samples, max %d", name, len(xs), MaxSpecSeries)
+	// Fields are checked in declaration order, not by ranging over a
+	// map, so a spec with several bad fields always names the same one.
+	for _, s := range [...]struct {
+		name string
+		xs   []float64
+	}{{"x", f.X}, {"y", f.Y}} {
+		if len(s.xs) > MaxSpecSeries {
+			return fmt.Errorf("spec: %s has %d samples, max %d", s.name, len(s.xs), MaxSpecSeries)
 		}
-		if err := count(len(xs)); err != nil {
+		if err := count(len(s.xs)); err != nil {
 			return err
 		}
-		for i, w := range xs {
+		for i, w := range s.xs {
 			if !finite(w) {
-				return fmt.Errorf("spec: %s[%d]: non-finite sample %v", name, i, w)
+				return fmt.Errorf("spec: %s[%d]: non-finite sample %v", s.name, i, w)
 			}
 		}
 	}
@@ -124,18 +129,24 @@ func (f *File) Validate() error {
 		return fmt.Errorf("spec: %d x %d lattice exceeds %d cells", len(f.X), len(f.Y), MaxSpecElems)
 	}
 
-	for name, v := range map[string]float64{"gapopen": f.GapOpen, "gapext": f.GapExtend} {
-		if !finite(v) {
-			return fmt.Errorf("spec: %s: non-finite penalty %v", name, v)
+	for _, g := range [...]struct {
+		name string
+		v    float64
+	}{{"gapopen", f.GapOpen}, {"gapext", f.GapExtend}} {
+		if !finite(g.v) {
+			return fmt.Errorf("spec: %s: non-finite penalty %v", g.name, g.v)
 		}
-		if v < 0 {
-			return fmt.Errorf("spec: %s: negative penalty %v", name, v)
+		if g.v < 0 {
+			return fmt.Errorf("spec: %s: negative penalty %v", g.name, g.v)
 		}
 	}
 
-	for name, n := range map[string]int{"proc": len(f.Proc), "due": len(f.Due), "weights": len(f.Weights)} {
-		if n > MaxSpecJobs {
-			return fmt.Errorf("spec: %s has %d entries, max %d", name, n, MaxSpecJobs)
+	for _, j := range [...]struct {
+		name string
+		n    int
+	}{{"proc", len(f.Proc)}, {"due", len(f.Due)}, {"weights", len(f.Weights)}} {
+		if j.n > MaxSpecJobs {
+			return fmt.Errorf("spec: %s has %d entries, max %d", j.name, j.n, MaxSpecJobs)
 		}
 	}
 	sumProc, maxDue := 0, 0

@@ -59,6 +59,49 @@ func TestValidateRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
+// Regression: Validate ranged over map literals for the series, gap and
+// job-count fields, so a spec with two bad fields named either one,
+// depending on map iteration order.
+func TestValidateNamesTheSameFieldEveryTime(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, want string
+		validate   func() error
+	}{
+		{"gaps", "gapopen", func() error {
+			_, err := Parse([]byte(`{"problem":"align","x":[1],"y":[2],"gapopen":-1,"gapext":-2}`))
+			return err
+		}},
+		{"series", "x[0]", func() error {
+			return (&File{Problem: "dtw", X: []float64{nan}, Y: []float64{inf}}).Validate()
+		}},
+		{"jobs", "proc", func() error {
+			n := MaxSpecJobs + 1
+			return (&File{Problem: "knapsack", Proc: make([]int, n), Due: make([]int, n)}).Validate()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := map[string]int{}
+			for i := 0; i < 100; i++ {
+				err := tc.validate()
+				if err == nil {
+					t.Fatal("bad spec accepted")
+				}
+				seen[err.Error()]++
+			}
+			if len(seen) != 1 {
+				t.Fatalf("100 calls gave %d different errors: %v", len(seen), seen)
+			}
+			for msg := range seen {
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("error %q, want mention of %q", msg, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestValidateRejectsOversizedShapes(t *testing.T) {
 	bigRow := make([]float64, MaxSpecNodes+1)
 	manyDims := make([]int, MaxSpecChainLen+1)
