@@ -1,6 +1,9 @@
 package check
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -411,23 +414,10 @@ func (c *checker) checkSpecRoundTrip(g *multistage.Graph, baseCost float64) {
 			c.addf("result", "spec-encode", "design %d: %v", design, err)
 			continue
 		}
-		data, err := f.Marshal()
-		if err != nil {
-			c.addf("result", "spec-marshal", "design %d: %v", design, err)
-			continue
+		if sol := c.solveSpec(fmt.Sprintf("graph[design=%d]", design), f); sol != nil {
+			c.cmpScalar("result", fmt.Sprintf("seq-baseline vs spec-roundtrip[design=%d]", design),
+				baseCost, sol.Cost)
 		}
-		p, err := spec.Parse(data)
-		if err != nil {
-			c.addf("result", "spec-parse", "design %d: %v", design, err)
-			continue
-		}
-		sol, err := core.Solve(p)
-		if err != nil {
-			c.addf("result", "core-solve", "design %d: %v", design, err)
-			continue
-		}
-		c.cmpScalar("result", fmt.Sprintf("seq-baseline vs spec-roundtrip[design=%d]", design),
-			baseCost, sol.Cost)
 	}
 }
 
@@ -500,25 +490,32 @@ func (c *checker) checkNodeValued() {
 	}
 	// The serving wire path: core.Solve must return the min-plus sweep's
 	// cost bit for bit and its path index by index.
-	if sol := c.solveSpec("nv"); sol != nil {
+	if sol := c.solveSpec("nv", &c.inst.File); sol != nil {
 		base := p.SolvePath(semiring.MinPlus{})
 		c.cmpScalar("result", "nv-baseline vs spec-roundtrip", base.Cost, sol.Cost)
 		c.cmpInts("path", "nv-baseline vs spec-roundtrip", base.Nodes, sol.Path)
 	}
 }
 
-// solveSpec drives the serving wire path for the instance: marshal its
-// spec, re-parse it and solve it through core.Solve. A failing step is
-// recorded as a mismatch under prefix and yields nil.
-func (c *checker) solveSpec(prefix string) *core.Solution {
-	data, err := c.inst.File.Marshal()
+// solveSpec drives the serving wire path for a spec: marshal it, decode
+// it as the serving tiers do, diff the decoded File and its cache key
+// against encoding/json, and solve it through core.Solve. A failing step
+// is recorded as a mismatch under prefix and yields nil.
+func (c *checker) solveSpec(prefix string, f *spec.File) *core.Solution {
+	data, err := f.Marshal()
 	if err != nil {
 		c.addf("result", prefix+"-spec-marshal", "%v", err)
 		return nil
 	}
-	p, err := spec.Parse(data)
+	got, err := spec.Decode(data)
 	if err != nil {
-		c.addf("result", prefix+"-spec-parse", "%v", err)
+		c.addf("result", prefix+"-spec-decode", "%v", err)
+		return nil
+	}
+	c.checkWire(prefix, data, got)
+	p, err := got.Build()
+	if err != nil {
+		c.addf("result", prefix+"-spec-build", "%v", err)
 		return nil
 	}
 	sol, err := core.Solve(p)
@@ -527,6 +524,33 @@ func (c *checker) solveSpec(prefix string) *core.Solution {
 		return nil
 	}
 	return sol
+}
+
+// checkWire compares spec.Decode's File with json.Unmarshal's, every
+// float bit for bit and nil apart from empty (both show in %#v), and
+// File.Hash with the hex SHA-256 of json.Marshal(Canonical()), the cache
+// key's definition.
+func (c *checker) checkWire(prefix string, data []byte, got *spec.File) {
+	var want spec.File
+	if err := json.Unmarshal(data, &want); err != nil {
+		c.addf("result", prefix+"-json-unmarshal", "%v", err)
+		return
+	}
+	c.combos++
+	if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", want); g != w {
+		c.addf("result", prefix+"-spec-decode vs json.Unmarshal", "%s != %s", g, w)
+	}
+	canon, err := json.Marshal(got.Canonical())
+	if err != nil {
+		c.addf("result", prefix+"-json-marshal", "%v", err)
+		return
+	}
+	sum := sha256.Sum256(canon)
+	key, err := got.Hash()
+	c.combos++
+	if want := hex.EncodeToString(sum[:]); err != nil || key != want {
+		c.addf("result", prefix+"-spec-hash vs json.Marshal", "%s (%v) != %s", key, err, want)
+	}
 }
 
 // pathObjective recomputes the node-valued objective along a path of
@@ -664,7 +688,7 @@ func (c *checker) checkDTW() {
 			c.cmpScalar("result", "dtw(x,y) vs dtw-lockstep(y,x) symmetry", seq, sym)
 		}
 	}
-	if sol := c.solveSpec("dtw"); sol != nil {
+	if sol := c.solveSpec("dtw", &c.inst.File); sol != nil {
 		c.cmpScalar("result", "dtw-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
 }
@@ -717,6 +741,9 @@ func (c *checker) checkChain(workers []int) {
 		}
 	}
 	c.checkChainFast(tab)
+	if sol := c.solveSpec("chain", &c.inst.File); sol != nil {
+		c.cmpScalar("result", "chain-dp vs spec-roundtrip", best, sol.Cost)
+	}
 }
 
 // checkNonserial cross-checks direct elimination of the ternary chain
@@ -745,6 +772,9 @@ func (c *checker) checkNonserial() {
 	}
 	c.cmpInt("invariant", "ns-eliminate steps vs eq(40)", steps, ch.StepsEq40())
 	c.checkNonserialFast(ch, name, elim, steps)
+	if sol := c.solveSpec("ns", &c.inst.File); sol != nil {
+		c.cmpScalar("result", "ns-eliminate vs spec-roundtrip", elim, sol.Cost)
+	}
 	total := 1
 	for _, d := range ch.Domains {
 		total *= len(d)

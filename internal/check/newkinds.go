@@ -32,7 +32,7 @@ func (c *checker) checkAlign() {
 	if err == nil {
 		c.cmpScalar("result", "align(x,y) vs align(y,x) symmetry", seq, sym)
 	}
-	if sol := c.solveSpec("align"); sol != nil {
+	if sol := c.solveSpec("align", &c.inst.File); sol != nil {
 		c.cmpScalar("result", "align-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
 }
@@ -75,7 +75,7 @@ func (c *checker) checkViterbi() {
 			c.checkViterbiArray(tr, seq, path)
 		}
 	}
-	if sol := c.solveSpec("vit"); sol != nil {
+	if sol := c.solveSpec("vit", &c.inst.File); sol != nil {
 		c.cmpScalar("result", "vit-sequential vs spec-roundtrip", seq, sol.Cost)
 		c.cmpInts("path", "vit-sequential vs spec-roundtrip", path, sol.Path)
 	}
@@ -159,7 +159,7 @@ func (c *checker) checkKnapsack() {
 		}
 		prev = v
 	}
-	if sol := c.solveSpec("ks"); sol != nil {
+	if sol := c.solveSpec("ks", &c.inst.File); sol != nil {
 		c.cmpScalar("result", "ks-sequential vs spec-roundtrip", seq, sol.Cost)
 	}
 }

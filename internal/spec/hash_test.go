@@ -2,6 +2,11 @@ package spec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -153,6 +158,78 @@ func TestHashIgnoresStrayFields(t *testing.T) {
 		hb, _ := b.Hash()
 		if ha != hb {
 			t.Errorf("%s: stray field changed the cache key: %s vs %s", a.Problem, ha, hb)
+		}
+	}
+}
+
+// marshalHash is the cache key's definition, which Hash must reproduce:
+// the hex SHA-256 of json.Marshal(Canonical()).
+func marshalHash(f *File) (string, error) {
+	data, err := json.Marshal(f.Canonical())
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+func TestHashMatchesMarshal(t *testing.T) {
+	var files []*File
+	for _, g := range goldenSpecs {
+		f, err := Decode([]byte(g.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	odd := []float64{math.Copysign(0, -1), 0, 5e-324, 1e-7, 1.5e-7, 1e-6, 0.1, 1 << 53, 1<<53 + 2,
+		1<<53 - 1, -(1<<53 - 1), 1e20, 1e21, -1e21, 123456789.125, math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	rng := rand.New(rand.NewSource(1))
+	random := make([]float64, 2000)
+	for i := range random {
+		// Every exponent, and integers on both sides of 2^53.
+		switch v := math.Float64frombits(rng.Uint64()); {
+		case i%2 == 0 && !math.IsNaN(v) && !math.IsInf(v, 0):
+			random[i] = v
+		default:
+			random[i] = float64(rng.Int63n(1<<55) - 1<<54)
+		}
+	}
+	files = append(files,
+		&File{Problem: "dtw", X: odd, Y: random},
+		&File{Problem: "align", X: []float64{}, Y: odd, GapOpen: 0.1, GapExtend: 1e-7},
+		&File{Problem: "align", X: odd, GapOpen: math.Copysign(0, -1), GapExtend: 1e21},
+		&File{Problem: "graph", Design: -2, Costs: [][][]float64{nil, {}, {nil, {}, odd}}},
+		&File{Problem: "viterbi", Values: [][]float64{nil, {}, odd}, Costs: [][][]float64{{{-0.5}}}},
+		&File{Problem: "nonserial", Domains: [][]float64{{1}, nil}, Cost: "tab\t\"q\"\\ é   \xff"},
+		&File{Problem: "knapsack", Proc: []int{0, -5, math.MaxInt}, Due: []int{math.MinInt}, Weights: odd},
+		&File{Problem: "chain", Dims: []int{1, 1 << 40}},
+		// An unknown kind keeps every field.
+		&File{Problem: "bad\"kind<", Design: 3, Costs: [][][]float64{{odd}}, Values: [][]float64{odd},
+			Cost: "x", Dims: []int{4}, Domains: [][]float64{{}}, X: odd, Y: []float64{-0.25},
+			GapOpen: -1e-9, GapExtend: 7, Proc: []int{1}, Due: []int{2}, Weights: []float64{}},
+		&File{},
+	)
+	// Each byte json.Marshal escapes, alone, and a string it leaves as is.
+	for _, s := range []string{"a<b", "a>b", "a&b", `a"b`, `a\b`, "a\tb", "a\x7fb", "aéb", "a\xffb", "a\u2028b", " ~!#"} {
+		files = append(files, &File{Problem: "nodevalued", Values: [][]float64{{1}, {2}}, Cost: s})
+	}
+	for _, f := range files {
+		got, err := f.Hash()
+		want, werr := marshalHash(f)
+		if err != nil || werr != nil || got != want {
+			t.Errorf("%s: Hash %s (%v), json.Marshal %s (%v)", f.Problem, got, err, want, werr)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, f := range []*File{
+			{Problem: "dtw", X: []float64{1, v}, Y: []float64{0}},
+			{Problem: "align", GapOpen: v},
+			{Problem: "graph", Costs: [][][]float64{{{0}, {v}}}},
+		} {
+			if got, err := f.Hash(); err == nil {
+				t.Errorf("%v in %s: Hash %s, want an error", v, f.Problem, got)
+			}
 		}
 	}
 }

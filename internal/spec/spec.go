@@ -16,6 +16,11 @@
 //	{"problem":"nonserial","domains":[[1,2],[1,2],[1,2],[1,2]],"cost":"span"}
 //
 //	{"problem":"dtw","x":[0,1,2,3],"y":[0,1,1,2,3]}
+//
+// The serving tiers decode and hash every request body, so neither uses
+// reflection on the common path: Decode parses the plain form of a body
+// (see parser) itself and hands any other body to encoding/json, and
+// Hash writes the canonical bytes json.Marshal would.
 package spec
 
 import (
@@ -47,7 +52,9 @@ type File struct {
 	Y       []float64     `json:"y,omitempty"`       // dtw/align: template series
 	// New kinds append fields here: wire order is declaration order and
 	// the serving cache hash depends on it, so the seed kinds' encodings
-	// must never shift.
+	// must never shift. A new field also goes into parsePlain, and into
+	// encoder.file in this order; TestWireCoversEveryField fails until
+	// it does.
 	GapOpen   float64   `json:"gapopen,omitempty"` // align: affine gap opening penalty
 	GapExtend float64   `json:"gapext,omitempty"`  // align: affine gap extension penalty
 	Proc      []int     `json:"proc,omitempty"`    // knapsack: processing times
@@ -89,18 +96,28 @@ func Parse(data []byte) (core.Problem, error) {
 
 // Decode unmarshals a spec File without building the problem. Useful when
 // the caller needs the File itself (e.g. to Hash it for a cache key).
-// Every decoded File is validated: NaN/±Inf weights and absurd
-// dimensions are rejected here, before they can flow into semiring
-// comparisons or array sizing.
+// A body in the plain form (see parser) is read by the package's own
+// parser; any other body goes to json.Unmarshal, so it decodes, or
+// fails, exactly as it would there. A null array element is rejected
+// on either path, since json.Unmarshal would leave a 0 in its place; a
+// field that is null as a whole is absent. Every decoded File is
+// validated: NaN/±Inf weights and absurd dimensions are rejected here,
+// before they can flow into semiring comparisons or array sizing.
 func Decode(data []byte) (*File, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("spec: %v", err)
+	f := new(File)
+	if !f.parsePlain(data) {
+		*f = File{}
+		if err := json.Unmarshal(data, f); err != nil {
+			return nil, fmt.Errorf("spec: %v", err)
+		}
+		if at := nullElement(data); at != "" {
+			return nil, fmt.Errorf("spec: %s: null element", at)
+		}
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	return f, nil
 }
 
 // Build constructs the core problem the spec describes.

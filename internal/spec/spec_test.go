@@ -3,6 +3,7 @@ package spec
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"systolicdp/internal/core"
@@ -112,6 +113,22 @@ func TestParseErrors(t *testing.T) {
 	for i, b := range bad {
 		if _, err := Parse(b); err == nil {
 			t.Errorf("bad spec %d accepted: %s", i, b)
+		}
+	}
+	// json.Unmarshal leaves 0 where an array element is null, and
+	// JSON.stringify writes NaN and ±Infinity as null. The unknown key
+	// sends the last body through the encoding/json path.
+	for _, c := range []struct{ body, want string }{
+		{`{"problem":"dtw","x":[1,null,2],"y":[0]}`, "x[1]"},
+		{`{"problem":"graph","costs":[[[1,2]],[[3],[null]]]}`, "costs[1][1][0]"},
+		{`{"problem":"align","x":[1],"y":[2,null],"gapopen":1,"gapext":1}`, "y[1]"},
+		{`{"problem":"knapsack","proc":[1,2],"due":[3,4],"weights":[null,1]}`, "weights[0]"},
+		{`{"problem":"chain","dims":[3,null,4]}`, "dims[1]"},
+		{`{"problem":"dtw","note":"js","x":[1,null,2],"y":[0]}`, "x[1]"},
+	} {
+		_, err := Parse([]byte(c.body))
+		if err == nil || !strings.Contains(err.Error(), c.want+": null element") {
+			t.Errorf("%s: error %v, want one naming %s", c.body, err, c.want)
 		}
 	}
 }

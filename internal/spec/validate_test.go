@@ -137,6 +137,8 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 		`{"problem":"dtw","x":[0,1,2,3],"y":[0,1,1,2,3]}`,
 		`{"problem":"nodevalued","values":[[10,20],[15,25]],"cost":"absdiff"}`,
 		`{"problem":"nonserial","domains":[[1,2],[1,2],[1,2]],"cost":"span"}`,
+		// A field that is null as a whole is absent.
+		`{"problem":"chain","dims":[2,3],"x":null,"costs":null}`,
 		// The largest lattices the cap admits: 4096 x 4096 cells.
 		`{"problem":"dtw","x":` + zeros(4096) + `,"y":` + zeros(4096) + `}`,
 		`{"problem":"align","x":` + zeros(4096) + `,"y":` + zeros(4096) + `,"gapopen":2,"gapext":1}`,
