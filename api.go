@@ -28,7 +28,7 @@ import (
 type (
 	// Class is a DP formulation class (monadic/polyadic x serial/nonserial).
 	Class = core.Class
-	// Problem is any DP problem the library can classify and solve.
+	// Problem is any DP problem the library can classify, price and solve.
 	Problem = core.Problem
 	// Solution is the result of Solve.
 	Solution = core.Solution

@@ -22,13 +22,14 @@ import (
 	"strings"
 
 	"systolicdp/internal/check"
+	"systolicdp/internal/spec"
 )
 
 func main() {
 	var (
 		n      = flag.Int("n", 200, "number of random instances to check")
 		seed   = flag.Int64("seed", 1, "generator seed (same seed, same instances)")
-		kinds  = flag.String("kinds", "", "comma-separated instance kinds (default: all of "+strings.Join(check.Kinds(), ",")+")")
+		kinds  = flag.String("kinds", "", "comma-separated instance kinds (default: all of "+strings.Join(spec.Kinds(), ",")+")")
 		quick  = flag.Bool("quick", false, "CI smoke mode: 60 small instances, chain wavefront workers {1,2}")
 		replay = flag.String("replay", "", "re-check a reproducer JSON file instead of generating")
 		verb   = flag.Bool("v", false, "print per-instance progress")

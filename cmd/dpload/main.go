@@ -45,6 +45,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +58,7 @@ import (
 	"systolicdp/internal/promtext"
 	"systolicdp/internal/route"
 	"systolicdp/internal/serve"
+	"systolicdp/internal/spec"
 )
 
 func main() {
@@ -109,7 +111,7 @@ func parseFlags(args []string) (config, error) {
 	overload := fs.Float64("overload", 2, "auto-rate multiplier on probed capacity when -rps is 0")
 	ramp := fs.Float64("ramp", 0.2, "fraction of the window spent ramping linearly up to the target rate")
 	conc := fs.Int("conc", 64, "closed-loop concurrency bound (max in-flight requests)")
-	mix := fs.String("mix", strings.Join(check.Kinds(), ","), "comma-separated instance kinds to generate")
+	mix := fs.String("mix", strings.Join(spec.Kinds(), ","), "comma-separated instance kinds to generate")
 	scale := fs.Int("scale", 1, "instance-size multiplier on the generator's default bounds (heavier solves per request)")
 	seed := fs.Int64("seed", 1, "instance-generator seed")
 	keys := fs.Int("keys", 0, "draw requests from a fixed pool of this many distinct specs instead of a fresh spec per request (0 = fresh; >0 makes result-cache hits possible)")
@@ -138,14 +140,10 @@ func parseFlags(args []string) (config, error) {
 		}
 	}
 	kinds := strings.Split(*mix, ",")
-	known := map[string]bool{}
-	for _, k := range check.Kinds() {
-		known[k] = true
-	}
 	for i, k := range kinds {
 		kinds[i] = strings.TrimSpace(k)
-		if !known[kinds[i]] {
-			return config{}, fmt.Errorf("unknown mix kind %q (have %s)", kinds[i], strings.Join(check.Kinds(), ","))
+		if !slices.Contains(spec.Kinds(), kinds[i]) {
+			return config{}, fmt.Errorf("unknown mix kind %q (have %s)", kinds[i], strings.Join(spec.Kinds(), ","))
 		}
 	}
 	if *compare && *addr != "" {

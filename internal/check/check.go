@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,9 +47,10 @@ var DefaultWorkers = []int{1, 2, -1}
 
 // checker accumulates mismatches and comparison counts for one instance.
 type checker struct {
-	inst   *Instance
-	combos int
-	ms     []*Mismatch
+	inst    *Instance
+	workers []int // chain-ordering wavefront worker counts
+	combos  int
+	ms      []*Mismatch
 }
 
 func (c *checker) addf(field, engines, format string, args ...any) {
@@ -125,26 +127,10 @@ func Check(inst *Instance, workers []int) (mismatches []*Mismatch, combos int) {
 			ws = append(ws, w)
 		}
 	}
-	workers = ws
-	c := &checker{inst: inst}
-	switch inst.Kind() {
-	case "graph":
-		c.checkGraph()
-	case "nodevalued":
-		c.checkNodeValued()
-	case "dtw":
-		c.checkDTW()
-	case "align":
-		c.checkAlign()
-	case "viterbi":
-		c.checkViterbi()
-	case "knapsack":
-		c.checkKnapsack()
-	case "chain":
-		c.checkChain(workers)
-	case "nonserial":
-		c.checkNonserial()
-	default:
+	c := &checker{inst: inst, workers: ws}
+	if k, ok := ops[inst.Kind()]; ok {
+		k.check(c)
+	} else {
 		c.addf("invariant", "generator", "unknown kind %q", inst.Kind())
 	}
 	return c.ms, c.combos
@@ -471,10 +457,7 @@ func sanitizeWeight(s semiring.Semiring, w float64) float64 {
 // instances only) and the served spec must agree on cost, and the array
 // and the served answer must return the sweep's path.
 func (c *checker) checkNodeValued() {
-	name := c.inst.File.Cost
-	if name == "" {
-		name = "absdiff"
-	}
+	name := cmp.Or(c.inst.File.Cost, "absdiff")
 	cf, ok := spec.PairCosts()[name]
 	if !ok {
 		c.addf("invariant", "generator", "unknown pair cost %q", name)
@@ -696,7 +679,7 @@ func (c *checker) checkDTW() {
 // checkChain cross-checks the chain-ordering DP against the concurrent
 // wavefront evaluation, the AND/OR-graph engine mapping, the two timed
 // Section-6.2 simulators, and (for small instances) brute force.
-func (c *checker) checkChain(workers []int) {
+func (c *checker) checkChain() {
 	dims := c.inst.File.Dims
 	tab, err := matchain.DP(dims)
 	if err != nil {
@@ -705,7 +688,7 @@ func (c *checker) checkChain(workers []int) {
 	}
 	best := tab.OptimalCost()
 	c.cmpScalar("result", "chain-dp cost vs MultiplyCost(parenthesization)", best, tab.MultiplyCost())
-	for _, w := range workers {
+	for _, w := range c.workers {
 		wt, err := matchain.Wavefront(dims, w)
 		if err != nil {
 			c.addf("result", fmt.Sprintf("chain-wavefront-w%d", w), "%v", err)
@@ -751,10 +734,7 @@ func (c *checker) checkChain(workers []int) {
 // (41)), and — for uniform domains — the Design-3 feedback array run on
 // the grouped problem.
 func (c *checker) checkNonserial() {
-	name := c.inst.File.Cost
-	if name == "" {
-		name = "default"
-	}
+	name := cmp.Or(c.inst.File.Cost, "default")
 	gf, ok := spec.TernaryCosts()[name]
 	if !ok {
 		c.addf("invariant", "generator", "unknown ternary cost %q", name)

@@ -30,7 +30,7 @@ func TestRunCleanAcrossEngines(t *testing.T) {
 
 // Every kind individually stays clean and actually produces comparisons.
 func TestRunPerKind(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, kind := range spec.Kinds() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			rep, err := Run(Options{N: 30, Seed: 11, Kinds: []string{kind}, Workers: []int{1, 2}})
@@ -44,6 +44,37 @@ func TestRunPerKind(t *testing.T) {
 				t.Errorf("mismatch: %s\nreproducer:\n%s", m.Error(), Reproducer(m.Instance))
 			}
 		})
+	}
+}
+
+// The acceptance run keeps every oracle arm: 500 instances of seed 1
+// must make at least the 8,183 comparisons they made when every kind
+// moved into one table, so an entry whose oracle stops checking fails
+// here instead of passing quietly. A change that deletes an engine
+// lowers this floor on purpose, with its reason on record.
+func TestRunComparisonFloor(t *testing.T) {
+	rep, err := Run(Options{N: 500, Seed: 1, Workers: []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("mismatch: %s", m.Error())
+	}
+	if rep.Combos < 8183 {
+		t.Errorf("500 instances made %d comparisons, want at least 8183", rep.Combos)
+	}
+}
+
+// The checker has one table entry per spec kind, and no other.
+func TestOpsCoverSpecKinds(t *testing.T) {
+	kinds := spec.Kinds()
+	if len(ops) != len(kinds) {
+		t.Errorf("checker table has %d kinds, spec has %d (%v)", len(ops), len(kinds), kinds)
+	}
+	for _, k := range kinds {
+		if e, ok := ops[k]; !ok || e.gen == nil || e.check == nil {
+			t.Errorf("kind %q: no generator and oracle in the checker table", k)
+		}
 	}
 }
 
@@ -82,7 +113,7 @@ func TestGenCoversDegenerateShapes(t *testing.T) {
 			seen["max-plus"] = true
 		}
 	}
-	for _, want := range append(Kinds(),
+	for _, want := range append(spec.Kinds(),
 		"degenerate:m=1", "degenerate:n=2", "degenerate:single-edge", "max-plus") {
 		if !seen[want] {
 			t.Errorf("800 instances never produced %q", want)

@@ -3,6 +3,8 @@ package check
 import (
 	"math/rand"
 	"testing"
+
+	"systolicdp/internal/spec"
 )
 
 // FuzzCheckInstances drives the differential oracle from a fuzzed
@@ -11,13 +13,13 @@ import (
 // the failing input pins the exact seed for replay.
 func FuzzCheckInstances(f *testing.F) {
 	for _, seed := range []int64{1, 2, 42} {
-		for k := range Kinds() {
+		for k := range spec.Kinds() {
 			f.Add(seed, byte(k))
 		}
 	}
 	cfg := GenConfig{MaxStages: 5, MaxM: 4, MaxLen: 8, MaxChain: 6, MaxVars: 5}
 	f.Fuzz(func(t *testing.T, seed int64, kind byte) {
-		kinds := Kinds()
+		kinds := spec.Kinds()
 		inst := GenKind(rand.New(rand.NewSource(seed)), kinds[int(kind)%len(kinds)], cfg)
 		ms, _ := Check(inst, []int{1, 2})
 		for _, m := range ms {

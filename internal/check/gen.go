@@ -28,12 +28,26 @@ import (
 	"systolicdp/internal/spec"
 )
 
-// Kinds lists the instance kinds the generator produces — every
-// servable spec kind. The serving tier's pricing exhaustiveness test
-// iterates this list, so adding a kind here without an EstimateCost arm
-// fails CI.
-func Kinds() []string {
-	return []string{"graph", "nodevalued", "dtw", "align", "viterbi", "knapsack", "chain", "nonserial"}
+// kindOps is one spec kind's generator, oracle and shrinker (nil when
+// the minimizer has nothing smaller to offer). The oracles rebuild their
+// engines' inputs from the File, not through spec.Build, so a fault in
+// Build shows as a spec-roundtrip mismatch.
+type kindOps struct {
+	gen    func(*rand.Rand, GenConfig) *Instance
+	check  func(*checker)
+	shrink func(*Instance) []*Instance
+}
+
+// ops holds an entry for every spec.Kinds() name.
+var ops = map[string]kindOps{
+	"graph":      {genGraph, (*checker).checkGraph, shrinkGraph},
+	"nodevalued": {genNodeValued, (*checker).checkNodeValued, shrinkNodeValued},
+	"dtw":        {genDTW, (*checker).checkDTW, shrinkDTW},
+	"align":      {genAlign, (*checker).checkAlign, nil},
+	"viterbi":    {genViterbi, (*checker).checkViterbi, nil},
+	"knapsack":   {genKnapsack, (*checker).checkKnapsack, nil},
+	"chain":      {genChain, (*checker).checkChain, shrinkChain},
+	"nonserial":  {genNonserial, (*checker).checkNonserial, shrinkNonserial},
 }
 
 // Instance is one randomized DP instance. The problem data rides in a
@@ -127,34 +141,18 @@ func genSeries(rng *rand.Rand, n, class int) []float64 {
 
 // Gen produces one random instance of a random kind.
 func Gen(rng *rand.Rand, cfg GenConfig) *Instance {
-	kinds := Kinds()
+	kinds := spec.Kinds()
 	return GenKind(rng, kinds[rng.Intn(len(kinds))], cfg)
 }
 
 // GenKind produces one random instance of the given kind. It panics on
 // an unknown kind (the caller controls the kind set).
 func GenKind(rng *rand.Rand, kind string, cfg GenConfig) *Instance {
-	cfg = cfg.withDefaults()
-	switch kind {
-	case "graph":
-		return genGraph(rng, cfg)
-	case "nodevalued":
-		return genNodeValued(rng, cfg)
-	case "dtw":
-		return genDTW(rng, cfg)
-	case "align":
-		return genAlign(rng, cfg)
-	case "viterbi":
-		return genViterbi(rng, cfg)
-	case "knapsack":
-		return genKnapsack(rng, cfg)
-	case "chain":
-		return genChain(rng, cfg)
-	case "nonserial":
-		return genNonserial(rng, cfg)
-	default:
+	k, ok := ops[kind]
+	if !ok {
 		panic(fmt.Sprintf("check: unknown instance kind %q", kind))
 	}
+	return k.gen(rng, cfg.withDefaults())
 }
 
 // genGraph produces a uniform multistage graph wrapped to single
@@ -228,7 +226,7 @@ func genNodeValued(rng *rand.Rand, cfg GenConfig) *Instance {
 		m = 1
 	}
 	ragged := rng.Intn(4) == 0
-	names := costNames(spec.PairCosts())
+	names := sortedNames(spec.PairCosts())
 	name := names[rng.Intn(len(names))]
 	// Keep values small: quadratic squares them and rise multiplies by 5;
 	// small integers keep every engine sum exact.
@@ -397,7 +395,7 @@ func genChain(rng *rand.Rand, cfg GenConfig) *Instance {
 
 func genNonserial(rng *rand.Rand, cfg GenConfig) *Instance {
 	n := 3 + rng.Intn(cfg.MaxVars-2)
-	names := ternaryNames(spec.TernaryCosts())
+	names := sortedNames(spec.TernaryCosts())
 	name := names[rng.Intn(len(names))]
 	uniform := rng.Intn(2) == 0
 	m := 1 + rng.Intn(4)
@@ -418,16 +416,9 @@ func genNonserial(rng *rand.Rand, cfg GenConfig) *Instance {
 	}
 }
 
-func costNames(m map[string]multistage.CostFunc) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func ternaryNames(m map[string]func(a, b, c float64) float64) []string {
+// sortedNames returns a cost table's names in order, so a seed draws the
+// same cost every run.
+func sortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)

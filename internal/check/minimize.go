@@ -38,17 +38,8 @@ func minimizeWith(inst *Instance, still func(*Instance) bool) *Instance {
 // shrinkCandidates proposes structurally smaller variants, largest
 // reductions first.
 func shrinkCandidates(in *Instance) []*Instance {
-	switch in.Kind() {
-	case "graph":
-		return shrinkGraph(in)
-	case "nodevalued":
-		return shrinkNodeValued(in)
-	case "dtw":
-		return shrinkDTW(in)
-	case "chain":
-		return shrinkChain(in)
-	case "nonserial":
-		return shrinkNonserial(in)
+	if k := ops[in.Kind()]; k.shrink != nil {
+		return k.shrink(in)
 	}
 	return nil
 }

@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+
+	"systolicdp/internal/spec"
 )
 
 // Options configures a randomized differential-testing run.
 type Options struct {
 	N       int      // instances to generate; default 200
 	Seed    int64    // generator seed; same seed => same instances
-	Kinds   []string // instance kinds to draw from; default Kinds()
+	Kinds   []string // instance kinds to draw from; default spec.Kinds()
 	Workers []int    // chain-ordering wavefront worker counts; default DefaultWorkers
 	Gen     GenConfig
 	// StopOnFirst stops the run at the first mismatching instance (the
@@ -38,15 +40,11 @@ func Run(opts Options) (*Report, error) {
 	}
 	kinds := opts.Kinds
 	if len(kinds) == 0 {
-		kinds = Kinds()
-	}
-	known := map[string]bool{}
-	for _, k := range Kinds() {
-		known[k] = true
+		kinds = spec.Kinds()
 	}
 	for _, k := range kinds {
-		if !known[k] {
-			return nil, fmt.Errorf("check: unknown kind %q (have %v)", k, Kinds())
+		if _, ok := ops[k]; !ok {
+			return nil, fmt.Errorf("check: unknown kind %q (have %v)", k, spec.Kinds())
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))

@@ -96,8 +96,9 @@ func TestDTWProblemViaSolve(t *testing.T) {
 // panicProblem explodes as soon as Solve touches it.
 type panicProblem struct{}
 
-func (panicProblem) Classify() Class  { panic("malformed problem state") }
-func (panicProblem) Describe() string { return "panic stub" }
+func (panicProblem) Classify() Class         { panic("malformed problem state") }
+func (panicProblem) Describe() string        { return "panic stub" }
+func (panicProblem) Work() (string, float64) { return "panic", 1 }
 
 // Regression: a panic inside the detached solve goroutine used to crash
 // the whole process (dpserve routes every request through SolveCtx); it

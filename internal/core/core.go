@@ -2,21 +2,12 @@
 // dynamic-programming problem into one of the four formulation classes —
 // monadic-serial, polyadic-serial, monadic-nonserial, polyadic-nonserial —
 // recommends the evaluation method and architecture the paper prescribes
-// for that class, and dispatches to the corresponding solver.
+// for that class, and dispatches to the corresponding solver. Each
+// problem type lives in a file of its own with its class, its
+// closed-form price (Work) and its solver.
 package core
 
-import (
-	"fmt"
-
-	"systolicdp/internal/bcastarray"
-	"systolicdp/internal/dnc"
-	"systolicdp/internal/matchain"
-	"systolicdp/internal/matrix"
-	"systolicdp/internal/multistage"
-	"systolicdp/internal/nonserial"
-	"systolicdp/internal/pipearray"
-	"systolicdp/internal/semiring"
-)
+import "fmt"
 
 // Arity distinguishes monadic from polyadic functional equations
 // (Section 2.1): monadic cost functions involve one recursive term,
@@ -113,12 +104,16 @@ func Recommend(c Class) Recommendation {
 	return Recommendation{Class: c, Method: "unknown"}
 }
 
-// Problem is a DP problem the library can classify and solve.
+// Problem is a DP problem the library can classify, price and solve.
 type Problem interface {
 	// Classify returns the formulation class of the problem as posed.
 	Classify() Class
 	// Describe names the problem for reports.
 	Describe() string
+	// Work is the closed-form cost, known before the solve runs: the
+	// kind keying its calibrated rate, and the work in that kind's own
+	// units (stream cycles, lattice cells, min-plus updates, ...).
+	Work() (kind string, units float64)
 }
 
 // Solution is the result of Solve.
@@ -130,212 +125,21 @@ type Solution struct {
 	Ordering string // optimal parenthesisation for chain ordering, else ""
 }
 
-// MultistageProblem is a monadic-serial problem: a shortest path in an
-// explicit multistage graph (equations (1)-(2)).
-type MultistageProblem struct {
-	Graph *multistage.Graph
-	// Design selects the systolic array: 1 (pipelined), 2 (broadcast) or 0
-	// for the sequential baseline. Designs 1-2 require a uniform graph
-	// wrapped to single source/sink.
-	Design int
-}
-
-// Classify reports monadic-serial.
-func (p *MultistageProblem) Classify() Class { return Class{Monadic, Serial} }
-
-// Describe names the problem.
-func (p *MultistageProblem) Describe() string {
-	return fmt.Sprintf("multistage graph (%d stages), Design %d", p.Graph.Stages(), p.Design)
-}
-
-// Validate checks the graph and that its design can run it. Designs 1-2
-// take the arrays' shape (pipearray.New, bcastarray.New): at least 2
-// cost matrices, a last stage of one node, m nodes in every other stage
-// after the source, and a source stage of at most m nodes.
-func (p *MultistageProblem) Validate() error {
-	if err := p.Graph.Validate(); err != nil {
-		return err
-	}
-	switch p.Design {
-	case 0:
-		return nil
-	case 1, 2:
-	default:
-		return fmt.Errorf("core: unknown design %d (want 0, 1 or 2)", p.Design)
-	}
-	sizes := p.Graph.StageSizes
-	k := len(sizes) - 1 // cost matrices
-	if k < 2 {
-		return fmt.Errorf("core: designs 1-2 need at least 2 cost matrices, have %d", k)
-	}
-	if sizes[k] != 1 {
-		return fmt.Errorf("core: designs 1-2 need a single-sink graph (last stage of 1 node, not %d); wrap with SingleSourceSink", sizes[k])
-	}
-	m := sizes[k-1]
-	for st := 1; st < k-1; st++ {
-		if sizes[st] != m {
-			return fmt.Errorf("core: designs 1-2 need m=%d nodes in stage %d, have %d", m, st, sizes[st])
-		}
-	}
-	if sizes[0] > m {
-		return fmt.Errorf("core: designs 1-2 need a source stage of at most m=%d nodes, have %d", m, sizes[0])
-	}
-	return nil
-}
-
-// NodeValuedProblem is a monadic-serial problem in the node-valued form of
-// equation (4), Design 3's input. Solve serves it with NodeValued.SolvePath,
-// which evaluates the array's h + f terms with its strict-< tie rule and
-// so returns the array's cost and path bit for bit on finite sums.
-type NodeValuedProblem struct {
-	Problem *multistage.NodeValued
-}
-
-// Classify reports monadic-serial.
-func (p *NodeValuedProblem) Classify() Class { return Class{Monadic, Serial} }
-
-// Describe names the problem.
-func (p *NodeValuedProblem) Describe() string {
-	return fmt.Sprintf("node-valued serial problem (%d stages), Design 3", p.Problem.Stages())
-}
-
-// MatrixStringProblem is a polyadic-serial problem: the same multistage
-// search posed as a string of matrix multiplications evaluated by parallel
-// divide-and-conquer (Section 4) on Workers processors.
-type MatrixStringProblem struct {
-	Matrices []*matrix.Matrix
-	Workers  int
-}
-
-// Classify reports polyadic-serial.
-func (p *MatrixStringProblem) Classify() Class { return Class{Polyadic, Serial} }
-
-// Describe names the problem.
-func (p *MatrixStringProblem) Describe() string {
-	return fmt.Sprintf("matrix string (N=%d) by divide-and-conquer on %d workers", len(p.Matrices), p.Workers)
-}
-
-// ChainOrderingProblem is the polyadic-nonserial optimal-parenthesisation
-// problem of equation (6).
-type ChainOrderingProblem struct {
-	Dims []int
-}
-
-// Classify reports polyadic-nonserial.
-func (p *ChainOrderingProblem) Classify() Class { return Class{Polyadic, Nonserial} }
-
-// Describe names the problem.
-func (p *ChainOrderingProblem) Describe() string {
-	return fmt.Sprintf("matrix-chain ordering (n=%d)", len(p.Dims)-1)
-}
-
-// NonserialChainProblem is the monadic-nonserial tri-variable chain of
-// equation (36), solved by eliminating its variables one by one
-// (equations (37)-(39)).
-type NonserialChainProblem struct {
-	Chain *nonserial.Chain3
-}
-
-// Classify reports monadic-nonserial.
-func (p *NonserialChainProblem) Classify() Class { return Class{Monadic, Nonserial} }
-
-// Describe names the problem.
-func (p *NonserialChainProblem) Describe() string {
-	return fmt.Sprintf("nonserial ternary chain (N=%d variables)", len(p.Chain.Domains))
-}
-
 // Solve classifies the problem, applies the method Table 1 prescribes for
-// its class, and returns the solution.
+// its class, and returns the solution. Every problem type this package
+// defines has a solve method, which Solve dispatches to; a Problem
+// defined elsewhere has none and is rejected. A solve that fails returns
+// an error, and Solve drops its Solution.
 func Solve(p Problem) (*Solution, error) {
-	sol := &Solution{Class: p.Classify(), Method: Recommend(p.Classify()).Method}
-	mp := semiring.MinPlus{}
-	switch q := p.(type) {
-	case *MultistageProblem:
-		if err := q.Validate(); err != nil {
-			return nil, err
-		}
-		switch q.Design {
-		case 0:
-			path := multistage.SolveOptimal(mp, q.Graph)
-			sol.Cost, sol.Path = path.Cost, path.Nodes
-		case 1, 2:
-			mats := q.Graph.Matrices()
-			k := len(mats)
-			v := mats[k-1].Col(0)
-			var out []float64
-			var err error
-			if q.Design == 1 {
-				out, err = pipearray.Solve(mats[:k-1], v)
-			} else {
-				out, err = bcastarray.Solve(mats[:k-1], v)
-			}
-			if err != nil {
-				return nil, err
-			}
-			sol.Cost = semiring.Fold(mp, out)
-		}
-	case *NodeValuedProblem:
-		if err := q.Problem.Validate(); err != nil {
-			return nil, err
-		}
-		path := q.Problem.SolvePath(mp)
-		sol.Cost, sol.Path = path.Cost, path.Nodes
-	case *MatrixStringProblem:
-		workers := q.Workers
-		if workers < 1 {
-			workers = dnc.OptimalGranularity(len(q.Matrices))
-		}
-		res, err := dnc.ParallelChain(mp, q.Matrices, workers)
-		if err != nil {
-			return nil, err
-		}
-		// The product matrix's fold is the best any-to-any cost.
-		sol.Cost = semiring.Fold(mp, res.Product.Data)
-	case *ChainOrderingProblem:
-		// Pooled flat-table kernel, bitwise identical to matchain.DP.
-		cost, paren, err := matchain.SolveFast(q.Dims)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost = cost
-		sol.Ordering = paren
-	case *NonserialChainProblem:
-		// Pooled monomorphized elimination (equations (37)-(39)), bitwise
-		// identical to Eliminate and to the grouped Design-3 array the
-		// differential checker pins it against.
-		cost, _, err := nonserial.EliminateFast(q.Chain)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost = cost
-	case *DTWProblem:
-		res, err := solveDTW(q)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost = res.Cost
-	case *AlignProblem:
-		res, err := solveAlign(q)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost = res.Cost
-	case *ViterbiProblem:
-		// Uniform or ragged, the sweep evaluates the feedback array's
-		// h + EdgeCost terms with its tie rule: the array's answer.
-		cost, path, err := q.Trellis.Sequential()
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost, sol.Path = cost, path
-	case *KnapsackProblem:
-		res, err := solveKnapsack(q)
-		if err != nil {
-			return nil, err
-		}
-		sol.Cost = res.Cost
-	default:
+	class := p.Classify()
+	s, ok := p.(interface{ solve() (*Solution, error) })
+	if !ok {
 		return nil, fmt.Errorf("core: unsupported problem type %T", p)
 	}
+	sol, err := s.solve()
+	if err != nil {
+		return nil, err
+	}
+	sol.Class, sol.Method = class, Recommend(class).Method
 	return sol, nil
 }

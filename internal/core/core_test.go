@@ -243,8 +243,9 @@ func TestSolveRejectsUnknownType(t *testing.T) {
 
 type bogus struct{}
 
-func (bogus) Classify() Class  { return Class{} }
-func (bogus) Describe() string { return "bogus" }
+func (bogus) Classify() Class         { return Class{} }
+func (bogus) Describe() string        { return "bogus" }
+func (bogus) Work() (string, float64) { return "bogus", 1 }
 
 func TestRecommendUnknownClass(t *testing.T) {
 	// Force the fallback row with an out-of-range class value.

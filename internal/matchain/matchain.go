@@ -86,6 +86,14 @@ func DP(dims []int) (*Table, error) {
 	return t, nil
 }
 
+// Updates is DP's closed-form work for n matrices: about n³/6 min-plus
+// updates (the split points over every pair i < j) plus the n² table
+// entries. Admission prices a chain by it and spec validation bounds it.
+func Updates(n int) float64 {
+	nf := float64(n)
+	return nf*nf*nf/6 + nf*nf
+}
+
 // OptimalCost returns m_{1,N}, the cost of the best ordering.
 func (t *Table) OptimalCost() float64 { return t.Cost[0][t.N-1] }
 

@@ -221,11 +221,17 @@ func (c *Chain3) AsProblem() *Problem {
 // f, one addition and one comparison).
 func (c *Chain3) StepsEq40() int {
 	n := len(c.Domains)
+	return TermSteps(c.Domains) + len(c.Domains[n-2])*len(c.Domains[n-1])
+}
+
+// TermSteps is equation (40)'s sum over the terms, m_k*m_{k+1}*m_{k+2}
+// steps to eliminate V_k (0 for fewer than three domains). Admission
+// prices a chain by it and spec validation bounds it.
+func TermSteps(domains [][]float64) int {
 	total := 0
-	for k := 0; k+2 < n; k++ {
-		total += len(c.Domains[k]) * len(c.Domains[k+1]) * len(c.Domains[k+2])
+	for k := 0; k+2 < len(domains); k++ {
+		total += len(domains[k]) * len(domains[k+1]) * len(domains[k+2])
 	}
-	total += len(c.Domains[n-2]) * len(c.Domains[n-1])
 	return total
 }
 

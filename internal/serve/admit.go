@@ -33,78 +33,13 @@ import (
 	"sync"
 	"time"
 
-	"systolicdp/internal/align"
 	"systolicdp/internal/core"
-	"systolicdp/internal/knapsack"
 )
 
-// UnpricedKind is the calibration bucket for problems with no
-// closed-form pricing arm. Nothing the server can build should land
-// here — TestEstimateCostExhaustive pins every registered spec kind to
-// a real arm — but a Problem type added without pricing still must not
-// sail past admission at ~zero predicted cost: unpriced work is priced
-// pessimistically from its own observed per-solve seconds (see
-// Admitter.Admit) and counted by dpserve_admit_unpriced_total.
-const UnpricedKind = "other"
-
 // EstimateCost returns the closed-form cost model for one problem: a
-// calibration kind and the predicted work in that kind's units.
-func EstimateCost(p core.Problem) (kind string, cycles float64) {
-	switch q := p.(type) {
-	case *core.MultistageProblem:
-		if q.Design == 1 {
-			if sp, err := core.StreamProblemFromGraph(q.Graph); err == nil {
-				// Section 3.2: K' matrices over an m-vector stream through
-				// the pipelined array in K'·m + m − 1 wall cycles.
-				kp, m := float64(len(sp.Ms)), float64(len(sp.V))
-				return "graph-stream", kp*m + m - 1
-			}
-		}
-		// Sequential / Design-2 path: one multiply-accumulate per edge.
-		total := 0.0
-		for _, c := range q.Graph.Matrices() {
-			total += float64(c.Rows * c.Cols)
-		}
-		return "graph", total
-	case *core.NodeValuedProblem:
-		// The elimination sweep relaxes |N_k|·|N_k+1| transitions per
-		// stage pair — count the pairwise comparisons.
-		vs := q.Problem.Values
-		total := 0.0
-		for k := 0; k+1 < len(vs); k++ {
-			total += float64(len(vs[k]) * len(vs[k+1]))
-		}
-		return "nodevalued", total + 1
-	case *core.DTWProblem:
-		// The warping lattice has |x|·|y| cells, swept row by row.
-		return "dtw", float64(len(q.X)*len(q.Y)) + 1
-	case *core.AlignProblem:
-		// Three affine-gap layers over the boundary-inclusive lattice.
-		return "align", float64(align.Cells(len(q.X), len(q.Y))) + 1
-	case *core.ViterbiProblem:
-		// One relaxation per trellis edge plus the final fold over the
-		// last stage's states.
-		return "viterbi", float64(q.Trellis.Work()) + 1
-	case *core.KnapsackProblem:
-		// Lawler-Moore: n lockstep waves over a row of Horizon+1 cells.
-		return "knapsack", float64(len(q.Jobs)*(knapsack.Horizon(q.Jobs)+1)) + 1
-	case *core.ChainOrderingProblem:
-		// Equation (6): O(n³) table fill — n³/6 min-plus updates.
-		n := float64(len(q.Dims) - 1)
-		return "chain", n*n*n/6 + n*n + 1
-	case *core.NonserialChainProblem:
-		// Equation (40) shape: eliminating variable i scans the product of
-		// the three adjacent domains.
-		ds := q.Chain.Domains
-		total := 0.0
-		for i := 0; i+2 < len(ds); i++ {
-			total += float64(len(ds[i]) * len(ds[i+1]) * len(ds[i+2]))
-		}
-		return "nonserial", total + 1
-	default:
-		return UnpricedKind, 1
-	}
-}
+// calibration kind and the predicted work in that kind's units. Every
+// problem type prices itself (core.Problem's Work).
+func EstimateCost(p core.Problem) (kind string, cycles float64) { return p.Work() }
 
 // OverloadError is the admission controller's shed verdict: the backlog's
 // predicted completion exceeds the request's deadline, so solving it
@@ -166,13 +101,6 @@ type Admitter struct {
 	backlog     float64            // seconds of admitted-but-unfinished predicted work
 	outstanding int                // live reservations backing the backlog
 	rates       map[string]float64 // EWMA units/second per kind; 0 = uncalibrated
-	// unpricedSecs is the EWMA of observed per-solve WALL SECONDS for
-	// UnpricedKind work. Unpriced requests all carry cycles=1, so the
-	// shared units/second rate says nothing about how long one takes —
-	// a single fast unpriced solve would price every later one at ~zero.
-	// Seconds-per-solve is the honest (pessimistic) model when no closed
-	// form exists.
-	unpricedSecs float64
 }
 
 // NewAdmitter builds an Admitter. headroom <= 0 defaults to 1; workers
@@ -202,13 +130,6 @@ func (a *Admitter) Admit(kind string, cycles float64, deadline time.Duration) (*
 	est := 0.0
 	if rate := a.rates[kind]; rate > 0 {
 		est = cycles / rate
-	}
-	if kind == UnpricedKind && a.unpricedSecs > est {
-		// No closed-form pricing arm: the rate-based estimate is
-		// meaningless (every unpriced request carries cycles=1), so take
-		// the observed per-solve seconds instead of sailing past the shed
-		// at ~zero predicted cost.
-		est = a.unpricedSecs
 	}
 	// Predicted completion: the standing backlog drains across the
 	// worker lanes while this request's own solve occupies one of them.
@@ -243,13 +164,6 @@ func (a *Admitter) Observe(kind string, cycles, seconds float64) {
 		a.rates[kind] = 0.7*cur + 0.3*sample
 	} else {
 		a.rates[kind] = sample
-	}
-	if kind == UnpricedKind {
-		if cur := a.unpricedSecs; cur > 0 {
-			a.unpricedSecs = 0.7*cur + 0.3*seconds
-		} else {
-			a.unpricedSecs = seconds
-		}
 	}
 	a.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"systolicdp/internal/check"
 	"systolicdp/internal/core"
 	"systolicdp/internal/spec"
 )
@@ -73,6 +75,63 @@ func TestEstimateCostClosedForms(t *testing.T) {
 	} {
 		if _, c := EstimateCost(specProblem(t, js)); c <= 0 {
 			t.Errorf("%s priced non-positive cost %v", js, c)
+		}
+	}
+}
+
+// Every spec kind prices its problems under a named kind with at least
+// one unit of work, so admission never sees a free request.
+func TestEstimateCostExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, kind := range spec.Kinds() {
+		for trial := 0; trial < 25; trial++ {
+			in := check.GenKind(rng, kind, check.GenConfig{})
+			if err := in.File.Validate(); err != nil {
+				t.Fatalf("kind %s trial %d: generated invalid spec: %v", kind, trial, err)
+			}
+			p, err := in.File.Build()
+			if err != nil {
+				t.Fatalf("kind %s trial %d: build: %v", kind, trial, err)
+			}
+			pk, cycles := EstimateCost(p)
+			if pk == "" {
+				t.Fatalf("kind %s trial %d: EstimateCost returned an empty kind", kind, trial)
+			}
+			if cycles < 1 {
+				t.Fatalf("kind %s trial %d: EstimateCost cycles = %g, want >= 1", kind, trial, cycles)
+			}
+		}
+	}
+}
+
+// Degenerate shapes the random generator only hits probabilistically:
+// each must still be priced, and solve.
+func TestEstimateCostDegenerateShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		file spec.File
+	}{
+		{"align-empty-x", spec.File{Problem: "align", Y: []float64{1, 2}, GapOpen: 2, GapExtend: 1}},
+		{"align-empty-y", spec.File{Problem: "align", X: []float64{3}, GapOpen: 2, GapExtend: 1}},
+		{"align-both-empty", spec.File{Problem: "align", GapOpen: 1, GapExtend: 1}},
+		{"viterbi-single-stage", spec.File{Problem: "viterbi", Values: [][]float64{{4, 1, 3}}}},
+		{"knapsack-zero-weight", spec.File{Problem: "knapsack", Proc: []int{2, 1}, Due: []int{3, 2}, Weights: []float64{0, 0}}},
+		{"knapsack-no-jobs", spec.File{Problem: "knapsack"}},
+		{"knapsack-zero-length-jobs", spec.File{Problem: "knapsack", Proc: []int{0, 0}, Due: []int{1, 5}, Weights: []float64{2, 3}}},
+	}
+	for _, tc := range cases {
+		if err := tc.file.Validate(); err != nil {
+			t.Fatalf("%s: Validate: %v", tc.name, err)
+		}
+		p, err := tc.file.Build()
+		if err != nil {
+			t.Fatalf("%s: Build: %v", tc.name, err)
+		}
+		if pk, cycles := EstimateCost(p); pk == "" || cycles < 1 {
+			t.Fatalf("%s: EstimateCost = (%q, %g), want a named kind and cycles >= 1", tc.name, pk, cycles)
+		}
+		if _, err := core.Solve(p); err != nil {
+			t.Fatalf("%s: Solve: %v", tc.name, err)
 		}
 	}
 }

@@ -275,12 +275,6 @@ func (s *Server) submit(j *job) error {
 // until the work finishes on any path — success, error, or abandonment.
 func (s *Server) dispatch(ctx context.Context, p core.Problem) (*core.Solution, error) {
 	kind, cycles := EstimateCost(p)
-	if kind == UnpricedKind {
-		// Every servable kind must have a pricing arm (the exhaustiveness
-		// test pins this); anything that still lands here is flying blind
-		// through admission, so make it visible.
-		s.metrics.AdmitUnpriced.Inc()
-	}
 	// EstimateCost already prices the Design-1 stream, the one batched
 	// kind, under its kernel's own kind ("graph-stream"), so admission and
 	// calibration use one rate key whichever path the problem takes.

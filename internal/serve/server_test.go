@@ -80,7 +80,7 @@ func TestServeMatchesDirectSolve(t *testing.T) {
 			defer ts.Close()
 
 			rng := rand.New(rand.NewSource(13))
-			for _, kind := range check.Kinds() {
+			for _, kind := range spec.Kinds() {
 				for n := 0; n < 8; {
 					in := check.GenKind(rng, kind, check.GenConfig{})
 					if in.File.Validate() != nil {

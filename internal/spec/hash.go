@@ -15,46 +15,14 @@ import (
 // cost names are made explicit. Two specs that Build the same problem —
 // e.g. a nodevalued spec with and without the implicit "absdiff" cost, or
 // a chain spec carrying a stray values field — canonicalize identically.
-func (f *File) Canonical() *File {
-	c := &File{Problem: f.Problem}
-	switch f.Problem {
-	case "graph":
-		c.Design = f.Design
-		c.Costs = f.Costs
-	case "nodevalued":
-		c.Values = f.Values
-		c.Cost = f.Cost
-		if c.Cost == "" {
-			c.Cost = "absdiff"
-		}
-	case "chain":
-		c.Dims = f.Dims
-	case "nonserial":
-		c.Domains = f.Domains
-		c.Cost = f.Cost
-		if c.Cost == "" {
-			c.Cost = "default"
-		}
-	case "dtw":
-		c.X = f.X
-		c.Y = f.Y
-	case "align":
-		c.X = f.X
-		c.Y = f.Y
-		c.GapOpen = f.GapOpen
-		c.GapExtend = f.GapExtend
-	case "viterbi":
-		c.Values = f.Values
-		c.Costs = f.Costs
-	case "knapsack":
-		c.Proc = f.Proc
-		c.Due = f.Due
-		c.Weights = f.Weights
-	default:
+func (f *File) Canonical() File {
+	k := lookup(f.Problem)
+	if k == nil {
 		// Unknown kinds keep everything so distinct inputs stay distinct.
-		cc := *f
-		c = &cc
+		return *f
 	}
+	c := k.keep(f)
+	c.Problem = f.Problem
 	return c
 }
 
@@ -67,7 +35,8 @@ func (f *File) Canonical() *File {
 func (f *File) Hash() (string, error) {
 	e := encoders.Get().(*encoder)
 	e.buf, e.err = e.buf[:0], nil
-	e.file(f.Canonical())
+	c := f.Canonical()
+	e.file(&c)
 	sum := sha256.Sum256(e.buf)
 	err := e.err
 	if cap(e.buf) <= maxPooledEncoding {

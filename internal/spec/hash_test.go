@@ -7,7 +7,10 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"systolicdp/internal/core"
 )
 
 // Parse → Marshal → Parse must be a fixed point: re-decoding the marshaled
@@ -158,6 +161,62 @@ func TestHashIgnoresStrayFields(t *testing.T) {
 		hb, _ := b.Hash()
 		if ha != hb {
 			t.Errorf("%s: stray field changed the cache key: %s vs %s", a.Problem, ha, hb)
+		}
+	}
+}
+
+// Every kind builds from its canonical fields alone: filling each wire
+// field a clean spec leaves empty with junk must build a problem with the
+// clean spec's answer, under the clean spec's cache key.
+func TestBuildIgnoresStrayFields(t *testing.T) {
+	junk := map[reflect.Type]any{
+		reflect.TypeOf(""):              "span",
+		reflect.TypeOf(0):               2,
+		reflect.TypeOf(0.0):             7.0,
+		reflect.TypeOf([]int{}):         []int{3, 1, 4},
+		reflect.TypeOf([]float64{}):     []float64{9, -9},
+		reflect.TypeOf([][]float64{}):   [][]float64{{1, 2}, {3}},
+		reflect.TypeOf([][][]float64{}): [][][]float64{{{5}}},
+	}
+	solve := func(f *File) *core.Solution {
+		p, err := f.Build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", f.Problem, err)
+		}
+		sol, err := core.Solve(p)
+		if err != nil {
+			t.Fatalf("%s: solve: %v", f.Problem, err)
+		}
+		return sol
+	}
+	seen := map[string]bool{}
+	for _, g := range goldenSpecs {
+		clean, err := Decode([]byte(g.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[clean.Problem] = true
+		stray := *clean
+		v := reflect.ValueOf(&stray).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if fv := v.Field(i); fv.IsZero() {
+				j, ok := junk[fv.Type()]
+				if !ok {
+					t.Fatalf("field %s has a type this test does not fill", v.Type().Field(i).Name)
+				}
+				fv.Set(reflect.ValueOf(j))
+			}
+		}
+		if got, want := solve(&stray), solve(clean); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stray fields changed the answer: %+v, want %+v", clean.Problem, got, want)
+		}
+		if hs, _ := stray.Hash(); hs != g.hash {
+			t.Errorf("%s: stray fields changed the cache key: %s, want %s", clean.Problem, hs, g.hash)
+		}
+	}
+	for _, k := range Kinds() {
+		if !seen[k] {
+			t.Errorf("kind %q has no golden spec", k)
 		}
 	}
 }

@@ -24,6 +24,7 @@
 package spec
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -120,118 +121,155 @@ func Decode(data []byte) (*File, error) {
 	return f, nil
 }
 
-// Build constructs the core problem the spec describes.
+// kind is one problem kind's wire mapping: keep returns the fields its
+// problem reads from f, with a defaulted cost name filled in, and build
+// makes the problem from such a File.
+type kind struct {
+	name  string
+	keep  func(f *File) File
+	build func(c *File) (core.Problem, error)
+}
+
+// kinds is every problem kind a spec can name, in the order Kinds lists
+// them.
+var kinds = [...]kind{
+	{"graph", func(f *File) File { return File{Design: f.Design, Costs: f.Costs} }, buildGraph},
+	{"nodevalued", func(f *File) File {
+		return File{Values: f.Values, Cost: cmp.Or(f.Cost, "absdiff")}
+	}, buildNodeValued},
+	{"dtw", func(f *File) File { return File{X: f.X, Y: f.Y} }, buildDTW},
+	{"align", func(f *File) File {
+		return File{X: f.X, Y: f.Y, GapOpen: f.GapOpen, GapExtend: f.GapExtend}
+	}, buildAlign},
+	// Reuses the wire fields of the node-valued and graph kinds:
+	// Values[k] holds stage-k node costs, Costs[k] the k->k+1
+	// transition matrix.
+	{"viterbi", func(f *File) File { return File{Values: f.Values, Costs: f.Costs} }, buildViterbi},
+	{"knapsack", func(f *File) File { return File{Proc: f.Proc, Due: f.Due, Weights: f.Weights} }, buildKnapsack},
+	{"chain", func(f *File) File { return File{Dims: f.Dims} }, buildChain},
+	{"nonserial", func(f *File) File {
+		return File{Domains: f.Domains, Cost: cmp.Or(f.Cost, nonserial.GNameDefault)}
+	}, buildNonserial},
+}
+
+// Kinds lists the problem kinds a spec can name.
+func Kinds() []string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	return names
+}
+
+// lookup returns the table entry for a kind name, or nil.
+func lookup(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
+}
+
+// Build constructs the core problem the spec describes. It builds from
+// Canonical, so a problem reads no field its cache key leaves out. A
+// builder that fails returns an error, and Build drops its problem.
 func (f *File) Build() (core.Problem, error) {
-	switch f.Problem {
-	case "graph":
-		if len(f.Costs) == 0 {
-			return nil, fmt.Errorf("spec: graph problem needs costs")
-		}
-		g := &multistage.Graph{}
-		for si, rows := range f.Costs {
-			if len(rows) == 0 {
-				return nil, fmt.Errorf("spec: stage %d has no rows", si)
-			}
-			for ri, r := range rows {
-				if len(r) != len(rows[0]) {
-					return nil, fmt.Errorf("spec: stage %d row %d has %d entries, want %d", si, ri, len(r), len(rows[0]))
-				}
-			}
-			m := matrix.FromRows(rows)
-			g.Cost = append(g.Cost, m)
-			if si == 0 {
-				g.StageSizes = append(g.StageSizes, m.Rows)
-			}
-			g.StageSizes = append(g.StageSizes, m.Cols)
-		}
-		// Validate the design too: a design the arrays cannot run is the
-		// client's error, not a solver failure.
-		p := &core.MultistageProblem{Graph: g, Design: f.Design}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return p, nil
-
-	case "nodevalued":
-		name := f.Cost
-		if name == "" {
-			name = "absdiff"
-		}
-		cf, ok := PairCosts()[name]
-		if !ok {
-			return nil, fmt.Errorf("spec: unknown pair cost %q", name)
-		}
-		p := &multistage.NodeValued{Values: f.Values, F: cf}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return &core.NodeValuedProblem{Problem: p}, nil
-
-	case "chain":
-		if len(f.Dims) < 2 {
-			return nil, fmt.Errorf("spec: chain needs at least 2 dims")
-		}
-		return &core.ChainOrderingProblem{Dims: f.Dims}, nil
-
-	case "nonserial":
-		name := f.Cost
-		if name == "" {
-			name = "default"
-		}
-		g, ok := TernaryCosts()[name]
-		if !ok {
-			return nil, fmt.Errorf("spec: unknown ternary cost %q", name)
-		}
-		// GName carries the spec's cost name into the chain so the
-		// monomorphized kernel can dispatch to the inlinable op.
-		c := &nonserial.Chain3{Domains: f.Domains, G: g, GName: name}
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return &core.NonserialChainProblem{Chain: c}, nil
-
-	case "dtw":
-		if len(f.X) == 0 || len(f.Y) == 0 {
-			return nil, fmt.Errorf("spec: dtw needs non-empty x and y series")
-		}
-		return &core.DTWProblem{X: f.X, Y: f.Y}, nil
-
-	case "align":
-		// Unlike dtw, empty series are legal: the affine-gap lattice
-		// includes the empty row/column, so align("", y) is a gap run.
-		p := align.Params{Open: f.GapOpen, Ext: f.GapExtend}
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return &core.AlignProblem{X: f.X, Y: f.Y, Params: p}, nil
-
-	case "viterbi":
-		// Reuses the wire fields of the node-valued and graph kinds:
-		// Values[k] holds stage-k node costs, Costs[k] the k->k+1
-		// transition matrix.
-		t := &viterbi.Trellis{Node: f.Values, Trans: f.Costs}
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return &core.ViterbiProblem{Trellis: t}, nil
-
-	case "knapsack":
-		if len(f.Proc) != len(f.Due) || len(f.Proc) != len(f.Weights) {
-			return nil, fmt.Errorf("spec: knapsack needs equal-length proc/due/weights, have %d/%d/%d",
-				len(f.Proc), len(f.Due), len(f.Weights))
-		}
-		jobs := make([]knapsack.Job, len(f.Proc))
-		for i := range jobs {
-			jobs[i] = knapsack.Job{P: f.Proc[i], D: f.Due[i], W: f.Weights[i]}
-		}
-		if err := knapsack.Validate(jobs); err != nil {
-			return nil, fmt.Errorf("spec: %v", err)
-		}
-		return &core.KnapsackProblem{Jobs: jobs}, nil
-
-	default:
+	k := lookup(f.Problem)
+	if k == nil {
 		return nil, fmt.Errorf("spec: unknown problem kind %q", f.Problem)
 	}
+	c := f.Canonical()
+	p, err := k.build(&c)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %v", err)
+	}
+	return p, nil
+}
+
+func buildGraph(f *File) (core.Problem, error) {
+	if len(f.Costs) == 0 {
+		return nil, fmt.Errorf("graph problem needs costs")
+	}
+	g := &multistage.Graph{}
+	for si, rows := range f.Costs {
+		if len(rows) == 0 {
+			return nil, fmt.Errorf("stage %d has no rows", si)
+		}
+		for ri, r := range rows {
+			if len(r) != len(rows[0]) {
+				return nil, fmt.Errorf("stage %d row %d has %d entries, want %d", si, ri, len(r), len(rows[0]))
+			}
+		}
+		m := matrix.FromRows(rows)
+		g.Cost = append(g.Cost, m)
+		if si == 0 {
+			g.StageSizes = append(g.StageSizes, m.Rows)
+		}
+		g.StageSizes = append(g.StageSizes, m.Cols)
+	}
+	// Validate the design too: a design the arrays cannot run is the
+	// client's error, not a solver failure.
+	p := &core.MultistageProblem{Graph: g, Design: f.Design}
+	return p, p.Validate()
+}
+
+func buildNodeValued(f *File) (core.Problem, error) {
+	cf, ok := PairCosts()[f.Cost]
+	if !ok {
+		return nil, fmt.Errorf("unknown pair cost %q", f.Cost)
+	}
+	p := &multistage.NodeValued{Values: f.Values, F: cf}
+	return &core.NodeValuedProblem{Problem: p}, p.Validate()
+}
+
+func buildDTW(f *File) (core.Problem, error) {
+	if len(f.X) == 0 || len(f.Y) == 0 {
+		return nil, fmt.Errorf("dtw needs non-empty x and y series")
+	}
+	return &core.DTWProblem{X: f.X, Y: f.Y}, nil
+}
+
+func buildAlign(f *File) (core.Problem, error) {
+	// Unlike dtw, empty series are legal: the affine-gap lattice
+	// includes the empty row/column, so align("", y) is a gap run.
+	p := align.Params{Open: f.GapOpen, Ext: f.GapExtend}
+	return &core.AlignProblem{X: f.X, Y: f.Y, Params: p}, p.Validate()
+}
+
+func buildViterbi(f *File) (core.Problem, error) {
+	t := &viterbi.Trellis{Node: f.Values, Trans: f.Costs}
+	return &core.ViterbiProblem{Trellis: t}, t.Validate()
+}
+
+func buildKnapsack(f *File) (core.Problem, error) {
+	if len(f.Proc) != len(f.Due) || len(f.Proc) != len(f.Weights) {
+		return nil, fmt.Errorf("knapsack needs equal-length proc/due/weights, have %d/%d/%d",
+			len(f.Proc), len(f.Due), len(f.Weights))
+	}
+	jobs := make([]knapsack.Job, len(f.Proc))
+	for i := range jobs {
+		jobs[i] = knapsack.Job{P: f.Proc[i], D: f.Due[i], W: f.Weights[i]}
+	}
+	return &core.KnapsackProblem{Jobs: jobs}, knapsack.Validate(jobs)
+}
+
+func buildChain(f *File) (core.Problem, error) {
+	if len(f.Dims) < 2 {
+		return nil, fmt.Errorf("chain needs at least 2 dims")
+	}
+	return &core.ChainOrderingProblem{Dims: f.Dims}, nil
+}
+
+func buildNonserial(f *File) (core.Problem, error) {
+	g, ok := TernaryCosts()[f.Cost]
+	if !ok {
+		return nil, fmt.Errorf("unknown ternary cost %q", f.Cost)
+	}
+	// GName carries the spec's cost name into the chain so the
+	// monomorphized kernel can dispatch to the inlinable op.
+	c := &nonserial.Chain3{Domains: f.Domains, G: g, GName: f.Cost}
+	return &core.NonserialChainProblem{Chain: c}, c.Validate()
 }
 
 // FromGraph encodes an explicit multistage graph problem as a spec File.

@@ -3,6 +3,9 @@ package spec
 import (
 	"fmt"
 	"math"
+
+	"systolicdp/internal/matchain"
+	"systolicdp/internal/nonserial"
 )
 
 // Wire-level sanity limits enforced at Decode time, before any weight
@@ -101,6 +104,14 @@ func (f *File) Validate() error {
 		if d > MaxSpecDim {
 			return fmt.Errorf("spec: dims[%d] = %d, max %d", i, d, MaxSpecDim)
 		}
+	}
+	// Bound chain and nonserial work by the closed forms admission prices
+	// them with: a body under 50 KB can describe minutes of solving.
+	if n := len(f.Dims) - 1; matchain.Updates(n) > MaxSpecElems {
+		return fmt.Errorf("spec: chain of %d matrices exceeds %d updates", n, MaxSpecElems)
+	}
+	if steps := nonserial.TermSteps(f.Domains); steps > MaxSpecElems {
+		return fmt.Errorf("spec: %d domains need %d elimination steps, max %d", len(f.Domains), steps, MaxSpecElems)
 	}
 
 	// Fields are checked in declaration order, not by ranging over a

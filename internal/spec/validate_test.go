@@ -111,6 +111,14 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 	longSeries := make([]float64, MaxSpecSeries+1)
 	// 4097 x 4096 is the smallest lattice past MaxSpecElems = 4096².
 	x, y := make([]float64, 4097), make([]float64, 4096)
+	// 464 matrices are the shortest chain past MaxSpecElems updates
+	// (464³/6 + 464² ≈ 1.686e7), and 256·256·257 the smallest single
+	// elimination term past 256³ = MaxSpecElems steps.
+	longChain := make([]int, 465)
+	for i := range longChain {
+		longChain[i] = 1
+	}
+	wideDomains := [][]float64{make([]float64, 256), make([]float64, 256), make([]float64, 257)}
 	cases := []struct {
 		name string
 		f    File
@@ -120,6 +128,8 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 		{"long-series", File{Problem: "dtw", X: longSeries, Y: []float64{0}}},
 		{"dtw-lattice", File{Problem: "dtw", X: x, Y: y}},
 		{"align-lattice", File{Problem: "align", X: y, Y: x, GapOpen: 2, GapExtend: 1}},
+		{"chain-updates", File{Problem: "chain", Dims: longChain}},
+		{"nonserial-steps", File{Problem: "nonserial", Domains: wideDomains}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +152,10 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 		// The largest lattices the cap admits: 4096 x 4096 cells.
 		`{"problem":"dtw","x":` + zeros(4096) + `,"y":` + zeros(4096) + `}`,
 		`{"problem":"align","x":` + zeros(4096) + `,"y":` + zeros(4096) + `,"gapopen":2,"gapext":1}`,
+		// The longest chain and the widest three-domain nonserial chain
+		// the work bounds admit.
+		`{"problem":"chain","dims":` + ones(464) + `}`,
+		`{"problem":"nonserial","domains":[` + zeros(256) + `,` + zeros(256) + `,` + zeros(256) + `]}`,
 	}
 	for _, in := range ok {
 		f, err := Decode([]byte(in))
@@ -157,4 +171,9 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 // zeros renders a JSON array of n zeros.
 func zeros(n int) string {
 	return "[" + strings.TrimSuffix(strings.Repeat("0,", n), ",") + "]"
+}
+
+// ones renders a JSON array of n ones.
+func ones(n int) string {
+	return "[" + strings.TrimSuffix(strings.Repeat("1,", n), ",") + "]"
 }
