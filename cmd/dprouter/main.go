@@ -12,7 +12,9 @@
 //
 // Endpoints: POST /solve (proxied to the owner replica with deadline
 // propagation and ring-successor failover), GET /healthz (503 while
-// draining), GET /statusz (router + fleet view), GET /metrics
+// draining), GET /statusz (router drain state, policy, and each
+// replica's health, in-flight forwards and ring share; a replica's load
+// and cache numbers are on its own /metrics), GET /metrics
 // (Prometheus text format), GET /debug/dptrace (the router's own hop
 // spans; ?format=wire for the raw span list), GET /debug/fleettrace
 // (the whole fleet's recent spans stitched into one Perfetto document

@@ -8,11 +8,12 @@
 //	dptop -router http://localhost:8090
 //	dptop -router http://localhost:8090 -once | jq .
 //
-// It polls the router's /statusz for fleet membership and health, then
-// each replica's /metrics (Prometheus text, parsed with
-// internal/promtext) for the rate-bearing counters. -once takes two
-// polls one interval apart and prints a single machine-readable JSON
-// snapshot — what the CI smoke test asserts against.
+// It polls the router's /statusz for fleet membership, health and ring
+// ownership, then each replica's /metrics (Prometheus text, parsed with
+// internal/promtext) for everything else: the rate-bearing counters,
+// the admission backlog and the cache counters. -once takes two polls
+// one interval apart and prints a single machine-readable JSON snapshot
+// — what the CI smoke test asserts against.
 package main
 
 import (
@@ -96,15 +97,11 @@ type routerView struct {
 }
 
 type replicaStatus struct {
-	Base            string  `json:"base"`
-	Healthy         bool    `json:"healthy"`
-	Removed         bool    `json:"removed"`
-	Inflight        int64   `json:"inflight"`
-	OwnShare        float64 `json:"own_share"`
-	BacklogSeconds  float64 `json:"backlog_seconds"`
-	ReplicaDraining bool    `json:"replica_draining"`
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
+	Base     string  `json:"base"`
+	Healthy  bool    `json:"healthy"`
+	Removed  bool    `json:"removed"`
+	Inflight int64   `json:"inflight"`
+	OwnShare float64 `json:"own_share"`
 }
 
 // pollResult is one round: the router's fleet view plus every reachable
@@ -174,21 +171,20 @@ func getText(ctx context.Context, client *http.Client, url string) (string, erro
 
 // row is one replica's assembled dashboard line; also the -once JSON.
 type row struct {
-	Base            string             `json:"base"`
-	Healthy         bool               `json:"healthy"`
-	Removed         bool               `json:"removed,omitempty"`
-	ReplicaDraining bool               `json:"replica_draining,omitempty"`
-	Inflight        int64              `json:"inflight"`
-	OwnShare        float64            `json:"own_share"`
-	BacklogSeconds  float64            `json:"backlog_seconds"`
-	ReqRate         float64            `json:"req_rate"` // requests/s over the poll window
-	ErrRate         float64            `json:"err_rate"` // errors+rejections+timeouts per second
-	P95Ms           float64            `json:"p95_ms"`   // solve latency p95
-	CacheHitRate    float64            `json:"cache_hit_rate"`
-	PUMeasured      float64            `json:"pu_measured"`
-	PUExpected      float64            `json:"pu_expected"`
-	KindRates       map[string]float64 `json:"kind_rates,omitempty"` // per-problem req/s
-	ScrapeError     string             `json:"scrape_error,omitempty"`
+	Base           string             `json:"base"`
+	Healthy        bool               `json:"healthy"`
+	Removed        bool               `json:"removed,omitempty"`
+	Inflight       int64              `json:"inflight"`
+	OwnShare       float64            `json:"own_share"`
+	BacklogSeconds float64            `json:"backlog_seconds"`
+	ReqRate        float64            `json:"req_rate"`       // requests/s over the poll window
+	ErrRate        float64            `json:"err_rate"`       // errors+rejections+timeouts per second
+	P95Ms          float64            `json:"p95_ms"`         // solve latency p95
+	CacheHitRate   float64            `json:"cache_hit_rate"` // cumulative since the replica started
+	PUMeasured     float64            `json:"pu_measured"`
+	PUExpected     float64            `json:"pu_expected"`
+	KindRates      map[string]float64 `json:"kind_rates,omitempty"` // per-problem req/s
+	ScrapeError    string             `json:"scrape_error,omitempty"`
 }
 
 // snapshot is the full dashboard state for one refresh (-once prints it
@@ -219,8 +215,9 @@ func totalErrors(fams promtext.Families) float64 {
 }
 
 // buildSnapshot turns two polls into RED rows: rates are counter deltas
-// over the wall-clock window, gauges and quantiles come from the newer
-// poll, health and placement from the router's view.
+// over the wall-clock window, gauges, quantiles and the cumulative cache
+// hit rate come from the newer poll, health and placement from the
+// router's view.
 func buildSnapshot(prev, cur *pollResult) snapshot {
 	var snap snapshot
 	snap.Router.Policy = cur.router.Policy
@@ -229,16 +226,11 @@ func buildSnapshot(prev, cur *pollResult) snapshot {
 	snap.WindowSeconds = dt
 	for _, st := range cur.router.Replicas {
 		r := row{
-			Base:            st.Base,
-			Healthy:         st.Healthy,
-			Removed:         st.Removed,
-			ReplicaDraining: st.ReplicaDraining,
-			Inflight:        st.Inflight,
-			OwnShare:        st.OwnShare,
-			BacklogSeconds:  st.BacklogSeconds,
-		}
-		if hits, misses := float64(st.CacheHits), float64(st.CacheMisses); hits+misses > 0 {
-			r.CacheHitRate = hits / (hits + misses)
+			Base:     st.Base,
+			Healthy:  st.Healthy,
+			Removed:  st.Removed,
+			Inflight: st.Inflight,
+			OwnShare: st.OwnShare,
 		}
 		curF, ok := cur.families[st.Base]
 		if !ok {
@@ -248,6 +240,10 @@ func buildSnapshot(prev, cur *pollResult) snapshot {
 			}
 			snap.Replicas = append(snap.Replicas, r)
 			continue
+		}
+		r.BacklogSeconds = curF.Value("dpserve_admit_backlog_seconds")
+		if hits, misses := curF.Value("dpserve_cache_hits_total"), curF.Value("dpserve_cache_misses_total"); hits+misses > 0 {
+			r.CacheHitRate = hits / (hits + misses)
 		}
 		r.P95Ms = curF.Labeled("dpserve_solve_latency_quantile_seconds", "quantile")["0.95"] * 1e3
 		r.PUMeasured = curF.Value("dpserve_engine_worker_utilization")
@@ -289,8 +285,6 @@ func render(w io.Writer, snap snapshot) {
 			health = "removed"
 		case !r.Healthy:
 			health = "EJECTED"
-		case r.ReplicaDraining:
-			health = "drain"
 		}
 		if r.ScrapeError != "" {
 			fmt.Fprintf(w, "%-28s %-7s  scrape failed: %s\n", shorten(r.Base, 28), health, r.ScrapeError)

@@ -14,7 +14,8 @@ import (
 )
 
 // fakeFleet is a router /statusz plus one replica /metrics whose request
-// counter advances on every scrape, so RED deltas are deterministic.
+// counter advances on every scrape, so RED deltas are deterministic; the
+// backlog gauge and the cache counters hold still.
 type fakeFleet struct {
 	router  *httptest.Server
 	replica *httptest.Server
@@ -40,6 +41,9 @@ func newFakeFleet(t *testing.T) *fakeFleet {
 		fmt.Fprintf(w, "# TYPE dpserve_engine_pu_expected gauge\ndpserve_engine_pu_expected 0.44\n")
 		fmt.Fprintf(w, "# TYPE dpserve_solve_latency_quantile_seconds gauge\n")
 		fmt.Fprintf(w, "dpserve_solve_latency_quantile_seconds{quantile=\"0.95\"} 0.002\n")
+		fmt.Fprintf(w, "# TYPE dpserve_admit_backlog_seconds gauge\ndpserve_admit_backlog_seconds 1.5\n")
+		fmt.Fprintf(w, "# TYPE dpserve_cache_hits_total counter\ndpserve_cache_hits_total 30\n")
+		fmt.Fprintf(w, "# TYPE dpserve_cache_misses_total counter\ndpserve_cache_misses_total 10\n")
 	}))
 	t.Cleanup(f.replica.Close)
 	f.router = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -48,8 +52,7 @@ func newFakeFleet(t *testing.T) *fakeFleet {
 			return
 		}
 		fmt.Fprintf(w, `{"draining":false,"policy":"hash","replicas":[
-			{"base":%q,"healthy":true,"inflight":2,"own_share":0.5,
-			 "backlog_seconds":1.5,"cache_hits":30,"cache_misses":10},
+			{"base":%q,"healthy":true,"inflight":2,"own_share":0.5},
 			{"base":"http://127.0.0.1:1","healthy":false,"own_share":0.5}]}`, f.replica.URL)
 	}))
 	t.Cleanup(f.router.Close)

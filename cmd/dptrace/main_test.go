@@ -58,7 +58,7 @@ func TestSummarizeArrayTrace(t *testing.T) {
 }
 
 func TestSummarizeRequestTrace(t *testing.T) {
-	rec := obs.NewSpanRecorder(4)
+	rec := obs.NewSpanRecorder(obs.ServeTier, 4)
 	base := time.Unix(100, 0)
 	s := obs.NewReqSpan("id1", "graph", base)
 	s.Observe("queue_wait", base, base.Add(50*time.Microsecond))
@@ -106,18 +106,18 @@ func TestRunRejectsGarbage(t *testing.T) {
 // cross-tier trace.
 func TestRunCollect(t *testing.T) {
 	base := time.Unix(500, 0)
-	hops := obs.NewHopRecorder(4)
-	h := obs.NewHopSpan("r1", base)
-	h.SetTrace("tid1")
-	h.SetKind("chain")
-	h.Finish(base.Add(2*time.Millisecond), 200, "rep")
+	hops := obs.NewSpanRecorder(obs.RouterTier, 4)
+	h := obs.NewReqSpan("r1", "chain", base)
+	h.SetTrace("tid1", "")
+	h.SetReplica("rep")
+	h.Finish(base.Add(2*time.Millisecond), 200, false)
 	hops.Add(h)
 	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(hops.WireSpans())
 	}))
 	defer router.Close()
 
-	spans := obs.NewSpanRecorder(4)
+	spans := obs.NewSpanRecorder(obs.ServeTier, 4)
 	s := obs.NewReqSpan("r1", "chain", base.Add(time.Millisecond))
 	s.SetTrace("tid1", "parent")
 	s.Finish(s.Start.Add(time.Millisecond), 200, false)

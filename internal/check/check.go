@@ -512,7 +512,9 @@ func (c *checker) solveSpec(prefix string, f *spec.File) *core.Solution {
 // checkWire compares spec.Decode's File with json.Unmarshal's, every
 // float bit for bit and nil apart from empty (both show in %#v), and
 // File.Hash with the hex SHA-256 of json.Marshal(Canonical()), the cache
-// key's definition.
+// key's definition. It also decodes that canonical form again: the key
+// must survive the wire, since a cache keyed on raw bodies would rest on
+// it.
 func (c *checker) checkWire(prefix string, data []byte, got *spec.File) {
 	var want spec.File
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -533,6 +535,16 @@ func (c *checker) checkWire(prefix string, data []byte, got *spec.File) {
 	c.combos++
 	if want := hex.EncodeToString(sum[:]); err != nil || key != want {
 		c.addf("result", prefix+"-spec-hash vs json.Marshal", "%s (%v) != %s", key, err, want)
+	}
+	again, err := spec.Decode(canon)
+	if err != nil {
+		c.addf("result", prefix+"-canonical-decode", "%v", err)
+		return
+	}
+	rekey, err := again.Hash()
+	c.combos++
+	if err != nil || rekey != key {
+		c.addf("result", prefix+"-spec-hash vs canonical round trip", "%s (%v) != %s", rekey, err, key)
 	}
 }
 

@@ -320,7 +320,6 @@ func FleetTrace(traces []AssembledTrace) *Trace {
 			base = s
 		}
 	}
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	for ti, t := range traces {
 		tid := ti + 1
 		short := t.TraceID
@@ -351,18 +350,7 @@ func FleetTrace(traces []AssembledTrace) *Trace {
 			if s.Replica != "" {
 				args["replica"] = s.Replica
 			}
-			dur := 0.0
-			if s.EndNs > 0 {
-				dur = us(s.EndNs - s.StartNs)
-			}
-			tr.Span(pid, tid, name, s.Kind, us(s.StartNs-base), dur, args)
-			for _, p := range s.Phases {
-				var pargs map[string]any
-				if p.Note != "" {
-					pargs = map[string]any{"note": p.Note}
-				}
-				tr.Span(pid, tid, p.Name, "stage", us(s.StartNs-base+p.OffsetNs), us(p.DurNs), pargs)
-			}
+			tr.spanWithPhases(pid, tid, name, s, base, args)
 		}
 	}
 	return tr

@@ -11,11 +11,11 @@
 //     exporting one track per PE plus counter tracks for busy-PE count,
 //     valid tokens on wires and instantaneous utilization — the measured
 //     counterpart of the paper's processor-utilization (PU) tables;
-//   - ReqSpan/SpanRecorder: request-lifecycle spans for dpserve
-//     (decode -> queue-wait -> batch-assembly -> solve -> encode) kept in
-//     a ring buffer and exported at /debug/dptrace;
-//   - HopSpan/HopRecorder: the router's hop spans (decode_hash ->
-//     candidate_pick -> per-attempt proxy phases);
+//   - ReqSpan/SpanRecorder: request-lifecycle spans for both tiers —
+//     dpserve's (decode -> queue-wait -> batch-assembly -> solve ->
+//     encode) and dprouter's hops (decode_hash -> candidate_pick ->
+//     per-attempt proxy phases) — kept in a ring buffer and exported at
+//     /debug/dptrace under the tier's names;
 //   - TraceContext: the X-Dp-Trace distributed trace context that links
 //     a router hop to the replica request span it caused;
 //   - WireSpan: the additive cross-process span exchange schema served

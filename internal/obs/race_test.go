@@ -11,7 +11,7 @@ import (
 // escaped to the batcher/recorder used to race exports reading Kind.
 // Under `go test -race` this fails if Kind ever leaves the span mutex.
 func TestSetKindConcurrentWithExport(t *testing.T) {
-	r := NewSpanRecorder(8)
+	r := NewSpanRecorder(ServeTier, 8)
 	base := time.Now()
 	s := NewReqSpan("race", "", base)
 	r.Add(s) // span escapes before its kind is known, like a real request

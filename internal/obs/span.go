@@ -9,9 +9,30 @@ import (
 	"time"
 )
 
-// ServePid is the trace-event process id used for request-lifecycle
-// traces (cycle-level array traces use ArrayPid).
-const ServePid = 2
+// Trace-event process ids of the two request tiers' span exports
+// (cycle-level array traces use ArrayPid).
+const (
+	ServePid  = 2 // dpserve request spans
+	RouterPid = 3 // dprouter hop spans
+)
+
+// Tier names one process tier in its span exports: the service on every
+// wire span, and the Perfetto process, thread prefix and whole-span
+// slice name of its /debug/dptrace document.
+type Tier struct {
+	service string
+	pid     int
+	process string
+	thread  string
+	root    string
+}
+
+var (
+	// ServeTier exports dpserve's request spans.
+	ServeTier = Tier{service: "dpserve", pid: ServePid, process: "dpserve requests", thread: "req", root: "request"}
+	// RouterTier exports dprouter's hop spans.
+	RouterTier = Tier{service: "dprouter", pid: RouterPid, process: "dprouter hops", thread: "hop", root: "hop"}
+)
 
 // Phase is one stage of a request's lifecycle, stored as an offset from
 // the span's start so export needs no clock. Note carries an optional
@@ -24,12 +45,16 @@ type Phase struct {
 	Note     string
 }
 
-// ReqSpan is the lifecycle of one served request: decode -> queue-wait ->
-// batch-assembly -> solve -> encode (whichever stages the request's route
-// actually passes through). Phases may be recorded from the handler
-// goroutine and from worker/batcher goroutines; the span locks. All
-// mutable fields — including the problem kind, which the batcher path can
-// race against export — live under the mutex.
+// ReqSpan is the lifecycle of one request through one tier. On a
+// replica: decode -> queue-wait -> batch-assembly -> solve -> encode
+// (whichever stages the request's route actually passes through). On
+// the router: decode_hash -> candidate_pick -> one annotated proxy phase
+// per forward attempt, so failover is legible on the timeline; the hop's
+// Context is what the router sends downstream as the parent of the
+// replica's span. Phases may be recorded from the handler goroutine and
+// from worker/batcher goroutines; the span locks. All mutable fields —
+// including the problem kind, which the batcher path can race against
+// export — live under the mutex.
 type ReqSpan struct {
 	ID    string
 	Start time.Time
@@ -43,6 +68,7 @@ type ReqSpan struct {
 	end      time.Time
 	status   int
 	cached   bool
+	replica  string // router hops: the upstream that answered, if any
 }
 
 // NewReqSpan opens a span for one request with a freshly minted span id.
@@ -75,8 +101,8 @@ func (s *ReqSpan) Kind() string {
 
 // SetTrace links the span into a distributed trace: traceID groups all
 // hops of one request across the fleet, parentID is the upstream span
-// (the router hop) that caused this one. The span keeps its own minted
-// span id.
+// (the router hop) that caused this one, empty at the trace's root. The
+// span keeps its own minted span id.
 func (s *ReqSpan) SetTrace(traceID, parentID string) {
 	if s == nil {
 		return
@@ -86,13 +112,40 @@ func (s *ReqSpan) SetTrace(traceID, parentID string) {
 	s.mu.Unlock()
 }
 
+// Context returns the trace context this span propagates downstream: the
+// trace id plus the span's own id as the parent.
+func (s *ReqSpan) Context() TraceContext {
+	if s == nil {
+		return TraceContext{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return TraceContext{TraceID: s.traceID, SpanID: s.spanID}
+}
+
 // Observe records one phase by its wall-clock endpoints.
 func (s *ReqSpan) Observe(name string, start, end time.Time) {
+	s.ObserveNote(name, "", start, end)
+}
+
+// ObserveNote records one annotated phase (the router's candidate_pick
+// and proxy attempts carry their detail in the note).
+func (s *ReqSpan) ObserveNote(name, note string, start, end time.Time) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.phases = append(s.phases, Phase{Name: name, Offset: start.Sub(s.Start), Duration: end.Sub(start)})
+	s.phases = append(s.phases, Phase{Name: name, Offset: start.Sub(s.Start), Duration: end.Sub(start), Note: note})
+	s.mu.Unlock()
+}
+
+// SetReplica records the upstream that produced a router hop's answer.
+func (s *ReqSpan) SetReplica(replica string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.replica = replica
 	s.mu.Unlock()
 }
 
@@ -104,28 +157,6 @@ func (s *ReqSpan) Finish(end time.Time, status int, cached bool) {
 	s.mu.Lock()
 	s.end, s.status, s.cached = end, status, cached
 	s.mu.Unlock()
-}
-
-// spanSnapshot is a consistent copy of a span's mutable state.
-type spanSnapshot struct {
-	kind                      string
-	traceID, spanID, parentID string
-	phases                    []Phase
-	end                       time.Time
-	status                    int
-	cached                    bool
-}
-
-// snapshot returns a consistent copy for export.
-func (s *ReqSpan) snapshot() spanSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return spanSnapshot{
-		kind:    s.kind,
-		traceID: s.traceID, spanID: s.spanID, parentID: s.parentID,
-		phases: append([]Phase(nil), s.phases...),
-		end:    s.end, status: s.status, cached: s.cached,
-	}
 }
 
 // spanKey is the context key for the active request span.
@@ -156,22 +187,24 @@ func NewRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// SpanRecorder keeps the last cap request spans in a ring buffer for the
+// SpanRecorder keeps one tier's last cap spans in a ring buffer for its
 // /debug/dptrace endpoint: enough history to inspect recent latency
 // structure without unbounded growth.
 type SpanRecorder struct {
+	tier  Tier
 	mu    sync.Mutex
 	ring  []*ReqSpan
 	next  int
 	count int
 }
 
-// NewSpanRecorder builds a ring of the given capacity (min 1).
-func NewSpanRecorder(capacity int) *SpanRecorder {
+// NewSpanRecorder builds a ring of the given capacity (min 1) whose
+// exports carry tier's names.
+func NewSpanRecorder(tier Tier, capacity int) *SpanRecorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &SpanRecorder{ring: make([]*ReqSpan, capacity)}
+	return &SpanRecorder{tier: tier, ring: make([]*ReqSpan, capacity)}
 }
 
 // Add records a finished span, evicting the oldest when full.
@@ -209,43 +242,47 @@ func (r *SpanRecorder) Snapshot() []*ReqSpan {
 // and one sub-span per lifecycle phase. Timestamps are microseconds since
 // the oldest retained span's start.
 func (r *SpanRecorder) Trace() *Trace {
-	spans := r.Snapshot()
+	spans := r.WireSpans()
 	tr := NewTrace()
-	tr.OtherData["service"] = "dpserve"
+	tr.OtherData["service"] = r.tier.service
 	tr.OtherData["spans"] = fmt.Sprintf("%d", len(spans))
-	tr.NameProcess(ServePid, "dpserve requests")
-	if len(spans) == 0 {
-		return tr
-	}
-	base := spans[0].Start
-	for _, s := range spans {
-		if s.Start.Before(base) {
-			base = s.Start
+	tr.NameProcess(r.tier.pid, r.tier.process)
+	var base int64
+	for i, w := range spans {
+		if i == 0 || w.StartNs < base {
+			base = w.StartNs
 		}
 	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	for i, s := range spans {
+	for i, w := range spans {
 		tid := i + 1
-		snap := s.snapshot()
-		tr.NameThread(ServePid, tid, fmt.Sprintf("req %s", s.ID))
-		total := snap.end.Sub(s.Start)
-		if snap.end.IsZero() {
-			total = 0
+		tr.NameThread(r.tier.pid, tid, r.tier.thread+" "+w.ID)
+		args := map[string]any{"id": w.ID, "problem": w.Kind, "status": w.Status}
+		if w.Cached {
+			args["cached"] = true
 		}
-		args := map[string]any{
-			"id": s.ID, "problem": snap.kind, "status": snap.status, "cached": snap.cached,
-		}
-		if snap.traceID != "" {
-			args["trace_id"] = snap.traceID
-			args["span_id"] = snap.spanID
-			if snap.parentID != "" {
-				args["parent_id"] = snap.parentID
+		if w.TraceID != "" {
+			args["trace_id"] = w.TraceID
+			args["span_id"] = w.SpanID
+			if w.ParentID != "" {
+				args["parent_id"] = w.ParentID
 			}
 		}
-		tr.Span(ServePid, tid, "request", snap.kind, us(s.Start.Sub(base)), us(total), args)
-		for _, p := range snap.phases {
-			tr.Span(ServePid, tid, p.Name, "stage", us(s.Start.Sub(base)+p.Offset), us(p.Duration), nil)
-		}
+		tr.spanWithPhases(r.tier.pid, tid, r.tier.root, w, base, args)
 	}
 	return tr
+}
+
+// spanWithPhases appends one wire span's whole-span slice, named root,
+// and a "stage" slice per phase (with its note, if any), timestamped in
+// microseconds since base (unix ns).
+func (t *Trace) spanWithPhases(pid, tid int, root string, w WireSpan, base int64, args map[string]any) {
+	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	t.Span(pid, tid, root, w.Kind, us(w.StartNs-base), us(int64(w.Duration())), args)
+	for _, p := range w.Phases {
+		var pargs map[string]any
+		if p.Note != "" {
+			pargs = map[string]any{"note": p.Note}
+		}
+		t.Span(pid, tid, p.Name, "stage", us(w.StartNs-base+p.OffsetNs), us(p.DurNs), pargs)
+	}
 }

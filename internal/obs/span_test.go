@@ -32,7 +32,7 @@ func TestNewRequestID(t *testing.T) {
 }
 
 func TestSpanRecorderRing(t *testing.T) {
-	r := NewSpanRecorder(2)
+	r := NewSpanRecorder(ServeTier, 2)
 	base := time.Unix(1000, 0)
 	for i, id := range []string{"a", "b", "c"} {
 		s := NewReqSpan(id, "graph", base.Add(time.Duration(i)*time.Millisecond))
@@ -49,7 +49,7 @@ func TestSpanRecorderRing(t *testing.T) {
 }
 
 func TestSpanTraceExport(t *testing.T) {
-	r := NewSpanRecorder(8)
+	r := NewSpanRecorder(ServeTier, 8)
 	base := time.Unix(1000, 0)
 	s := NewReqSpan("req1", "chain", base)
 	s.Observe("decode", base, base.Add(10*time.Microsecond))
@@ -82,7 +82,7 @@ func TestSpanTraceExport(t *testing.T) {
 	}
 
 	// Empty recorder still exports a valid trace.
-	empty := NewSpanRecorder(4).Trace()
+	empty := NewSpanRecorder(ServeTier, 4).Trace()
 	if empty.OtherData["spans"] != "0" || empty.TraceEvents == nil {
 		t.Error("empty recorder export malformed")
 	}

@@ -61,49 +61,26 @@ func wireEnd(end time.Time) int64 {
 	return end.UnixNano()
 }
 
-// Wire exports the request span in wire form.
-func (s *ReqSpan) Wire() WireSpan {
-	snap := s.snapshot()
+// wire exports the span in wire form under the given service name.
+func (s *ReqSpan) wire(service string) WireSpan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return WireSpan{
-		Service: "dpserve",
-		TraceID: snap.traceID, SpanID: snap.spanID, ParentID: snap.parentID,
-		ID: s.ID, Kind: snap.kind,
-		StartNs: s.Start.UnixNano(), EndNs: wireEnd(snap.end),
-		Status: snap.status, Cached: snap.cached,
-		Phases: wirePhases(snap.phases),
+		Service: service,
+		TraceID: s.traceID, SpanID: s.spanID, ParentID: s.parentID,
+		ID: s.ID, Kind: s.kind,
+		StartNs: s.Start.UnixNano(), EndNs: wireEnd(s.end),
+		Status: s.status, Cached: s.cached, Replica: s.replica,
+		Phases: wirePhases(s.phases),
 	}
 }
 
-// Wire exports the hop span in wire form.
-func (h *HopSpan) Wire() WireSpan {
-	snap := h.snapshot()
-	return WireSpan{
-		Service: "dprouter",
-		TraceID: snap.traceID, SpanID: snap.spanID,
-		ID: h.ID, Kind: snap.kind,
-		StartNs: h.Start.UnixNano(), EndNs: wireEnd(snap.end),
-		Status:  snap.status,
-		Replica: h.Replica(),
-		Phases:  wirePhases(snap.phases),
-	}
-}
-
-// WireSpans exports the retained request spans oldest-first.
+// WireSpans exports the retained spans oldest-first.
 func (r *SpanRecorder) WireSpans() []WireSpan {
 	spans := r.Snapshot()
 	out := make([]WireSpan, 0, len(spans))
 	for _, s := range spans {
-		out = append(out, s.Wire())
-	}
-	return out
-}
-
-// WireSpans exports the retained hop spans oldest-first.
-func (r *HopRecorder) WireSpans() []WireSpan {
-	hops := r.Snapshot()
-	out := make([]WireSpan, 0, len(hops))
-	for _, h := range hops {
-		out = append(out, h.Wire())
+		out = append(out, s.wire(r.tier.service))
 	}
 	return out
 }

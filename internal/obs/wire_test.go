@@ -18,7 +18,7 @@ func TestWireSpanJSONRoundTrip(t *testing.T) {
 	s.Observe("solve", base.Add(10*time.Microsecond), base.Add(200*time.Microsecond))
 	s.Finish(base.Add(220*time.Microsecond), 200, true)
 
-	w := s.Wire()
+	w := s.wire(ServeTier.service)
 	if w.Service != "dpserve" || w.TraceID != "cafe01" || w.ParentID != "beef02" {
 		t.Fatalf("wire span linkage wrong: %+v", w)
 	}
@@ -45,17 +45,18 @@ func TestWireSpanJSONRoundTrip(t *testing.T) {
 func TestWireSpanOpenAndHop(t *testing.T) {
 	base := time.Unix(2000, 0)
 	// Open request span: EndNs stays 0 so consumers can tell in-flight apart.
-	open := NewReqSpan("req2", "chain", base).Wire()
+	open := NewReqSpan("req2", "chain", base).wire(ServeTier.service)
 	if open.EndNs != 0 || open.Duration() != 0 {
 		t.Errorf("open span exported end %d dur %v, want 0", open.EndNs, open.Duration())
 	}
 
-	h := NewHopSpan("req3", base)
-	h.SetTrace("abc123")
+	h := NewReqSpan("req3", "", base)
+	h.SetTrace("abc123", "")
 	h.SetKind("graph")
 	h.ObserveNote("proxy", "attempt=1 replica=http://a status=200", base, base.Add(time.Millisecond))
-	h.Finish(base.Add(time.Millisecond), 200, "http://a")
-	w := h.Wire()
+	h.SetReplica("http://a")
+	h.Finish(base.Add(time.Millisecond), 200, false)
+	w := h.wire(RouterTier.service)
 	if w.Service != "dprouter" || w.Replica != "http://a" || w.TraceID != "abc123" {
 		t.Fatalf("hop wire span wrong: %+v", w)
 	}
@@ -77,7 +78,7 @@ func TestWireSpanOpenAndHop(t *testing.T) {
 }
 
 func TestRecorderWireSpans(t *testing.T) {
-	r := NewSpanRecorder(4)
+	r := NewSpanRecorder(ServeTier, 4)
 	base := time.Unix(3000, 0)
 	for i, id := range []string{"a", "b"} {
 		s := NewReqSpan(id, "graph", base.Add(time.Duration(i)*time.Millisecond))
@@ -89,9 +90,9 @@ func TestRecorderWireSpans(t *testing.T) {
 		t.Fatalf("recorder wire export wrong: %+v", ws)
 	}
 
-	hr := NewHopRecorder(4)
-	h := NewHopSpan("c", base)
-	h.Finish(base.Add(time.Millisecond), 502, "")
+	hr := NewSpanRecorder(RouterTier, 4)
+	h := NewReqSpan("c", "", base)
+	h.Finish(base.Add(time.Millisecond), 502, false)
 	hr.Add(h)
 	hws := hr.WireSpans()
 	if len(hws) != 1 || hws[0].ID != "c" || hws[0].Status != 502 {

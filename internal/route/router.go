@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,13 +145,6 @@ type replica struct {
 	mu         sync.Mutex // guards the hysteresis counters
 	consecFail int
 	consecOK   int
-
-	status atomic.Pointer[replicaStatus] // last decoded /statusz; nil before first poll
-}
-
-type replicaStatus struct {
-	at time.Time
-	s  serve.Statusz
 }
 
 // Router is the sharded routing tier. Create with New, expose via
@@ -176,8 +170,8 @@ type Router struct {
 	wg       sync.WaitGroup // background loops
 	stop     chan struct{}
 
-	hops      *obs.HopRecorder // recent hop spans for /debug/dptrace
-	collector *obs.Collector   // fleet span stitching for /debug/fleettrace
+	hops      *obs.SpanRecorder // recent hop spans for /debug/dptrace
+	collector *obs.Collector    // fleet span stitching for /debug/fleettrace
 
 	mux *http.ServeMux
 }
@@ -204,7 +198,7 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 	rt.client = &http.Client{Transport: transport}
-	rt.hops = obs.NewHopRecorder(cfg.TraceSpans)
+	rt.hops = obs.NewSpanRecorder(obs.RouterTier, cfg.TraceSpans)
 	rt.collector = &obs.Collector{
 		Endpoints: rt.traceEndpoints,
 		Local:     rt.hops.WireSpans,
@@ -438,14 +432,14 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", reqID)
 
-	hop := obs.NewHopSpan(reqID, start)
+	hop := obs.NewReqSpan(reqID, "", start)
 	if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
-		hop.SetTrace(tc.TraceID) // a tracing client stays the trace root
+		hop.SetTrace(tc.TraceID, "") // a tracing client stays the trace root
 	} else {
-		hop.SetTrace(obs.NewTraceContext().TraceID) // the router is the edge: root here
+		hop.SetTrace(obs.NewTraceContext().TraceID, "") // the router is the edge: root here
 	}
 	fail := func(status int, msg string) {
-		hop.Finish(time.Now(), status, "")
+		hop.Finish(time.Now(), status, false)
 		rt.hops.Add(hop)
 		http.Error(w, msg, status)
 	}
@@ -530,7 +524,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("attempt=%d replica=%s status=%d", i+1, rep.base, resp.StatusCode),
 			attemptStart, time.Now())
 		rt.metrics.Forwarded(rep.base, resp.StatusCode)
-		hop.Finish(time.Now(), resp.StatusCode, rep.base)
+		hop.SetReplica(rep.base)
+		hop.Finish(time.Now(), resp.StatusCode, false)
 		rt.hops.Add(hop)
 		copyResponse(w, resp)
 		return
@@ -549,7 +544,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 // so the replica's span links under this hop. Solves are pure functions
 // of the spec, so a transport-level failure (no response) is always safe
 // to retry on the next candidate.
-func (rt *Router) send(ctx context.Context, hop *obs.HopSpan, reqID string, rep *replica, body []byte, remaining time.Duration) (*http.Response, error) {
+func (rt *Router) send(ctx context.Context, hop *obs.ReqSpan, reqID string, rep *replica, body []byte, remaining time.Duration) (*http.Response, error) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+"/solve", bytes.NewReader(body))
@@ -584,8 +579,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 }
 
 // healthLoop probes every member each HealthInterval and applies
-// ejection/readmission hysteresis, refreshes /statusz snapshots for the
-// fleet view, and reaps drained-out removed replicas.
+// ejection/readmission hysteresis, and reaps drained-out removed
+// replicas.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(rt.cfg.HealthInterval)
@@ -609,7 +604,9 @@ func (rt *Router) healthLoop() {
 	}
 }
 
-// probe runs one health check + statusz refresh against one replica.
+// probe runs one health check against one replica. A draining dpserve
+// answers 503 here, so a drain reads as failed probes and ejects the
+// replica after EjectAfter of them.
 func (rt *Router) probe(rep *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
 	defer cancel()
@@ -624,9 +621,6 @@ func (rt *Router) probe(rep *replica) {
 		}
 	}
 	rt.observeProbe(rep, ok)
-	if ok {
-		rt.refreshStatus(ctx, rep)
-	}
 }
 
 // observeProbe applies one probe outcome to the replica's hysteresis
@@ -653,28 +647,6 @@ func (rt *Router) observeProbe(rep *replica, ok bool) {
 		rt.metrics.Ejections.Inc()
 		rt.logger.Warn("replica ejected", "replica", rep.base, "consecutive_failures", rep.consecFail)
 	}
-}
-
-// refreshStatus pulls the replica's /statusz for the fleet view.
-func (rt *Router) refreshStatus(ctx context.Context, rep *replica) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.base+"/statusz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	var st serve.Statusz
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return
-	}
-	rep.status.Store(&replicaStatus{at: time.Now(), s: st})
 }
 
 // reapDrains forgets removed replicas whose last in-flight request has
@@ -729,8 +701,9 @@ func (rt *Router) reloadLoop() {
 	}
 }
 
-// routerStatusz is the router's own /statusz shape: an aggregated view
-// of the fleet for operators and smoke tests.
+// routerStatusz is the router's own /statusz shape: its view of the
+// fleet's membership, health and key ownership. Each replica's load and
+// cache numbers are on that replica's own /metrics.
 type routerStatusz struct {
 	Draining bool                   `json:"draining"`
 	Policy   string                 `json:"policy"`
@@ -738,16 +711,11 @@ type routerStatusz struct {
 }
 
 type routerReplicaStatusz struct {
-	Base            string  `json:"base"`
-	Healthy         bool    `json:"healthy"`
-	Removed         bool    `json:"removed,omitempty"`
-	Inflight        int64   `json:"inflight"`
-	OwnShare        float64 `json:"own_share"` // fraction of the key space this replica owns
-	BacklogSeconds  float64 `json:"backlog_seconds"`
-	ReplicaDraining bool    `json:"replica_draining"`
-	StatusAgeMs     int64   `json:"status_age_ms"` // -1 before the first successful poll
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
+	Base     string  `json:"base"`
+	Healthy  bool    `json:"healthy"`
+	Removed  bool    `json:"removed,omitempty"`
+	Inflight int64   `json:"inflight"`
+	OwnShare float64 `json:"own_share"` // fraction of the key space this replica owns
 }
 
 // Statusz snapshots the router's aggregated fleet view.
@@ -762,33 +730,16 @@ func (rt *Router) Statusz() []routerReplicaStatusz {
 	rt.mu.RUnlock()
 	out := make([]routerReplicaStatusz, 0, len(reps))
 	for _, rep := range reps {
-		rs := routerReplicaStatusz{
-			Base:        rep.base,
-			Healthy:     rep.healthy.Load(),
-			Removed:     rep.removed.Load(),
-			Inflight:    rep.inflight.Load(),
-			OwnShare:    shares[rep.base],
-			StatusAgeMs: -1,
-		}
-		if st := rep.status.Load(); st != nil {
-			rs.StatusAgeMs = time.Since(st.at).Milliseconds()
-			rs.BacklogSeconds = st.s.Admit.BacklogSeconds
-			rs.ReplicaDraining = st.s.Draining
-			rs.CacheHits = st.s.Cache.Hits
-			rs.CacheMisses = st.s.Cache.Misses
-		}
-		out = append(out, rs)
+		out = append(out, routerReplicaStatusz{
+			Base:     rep.base,
+			Healthy:  rep.healthy.Load(),
+			Removed:  rep.removed.Load(),
+			Inflight: rep.inflight.Load(),
+			OwnShare: shares[rep.base],
+		})
 	}
-	sortReplicaStatusz(out)
+	slices.SortFunc(out, func(a, b routerReplicaStatusz) int { return strings.Compare(a.Base, b.Base) })
 	return out
-}
-
-func sortReplicaStatusz(rs []routerReplicaStatusz) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Base < rs[j-1].Base; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }
 
 func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {

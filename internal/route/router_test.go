@@ -1,7 +1,6 @@
 package route
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,15 +14,15 @@ import (
 	"time"
 
 	"systolicdp/internal/serve"
+	"systolicdp/internal/spec"
 )
 
 // fakeReplica is a scriptable upstream: counts solves, can fail health
-// probes, serve a canned statusz, stall solves, or shed them.
+// probes, stall solves, or shed them.
 type fakeReplica struct {
 	ts       *httptest.Server
 	solves   atomic.Int64
 	unwell   atomic.Bool  // healthz answers 503
-	status   atomic.Value // serve.Statusz to serve; zero value if unset
 	stall    atomic.Int64 // per-solve delay in ms
 	shed     atomic.Int64 // > 0: /solve answers 429 with this Retry-After in seconds
 	lastHdrs atomic.Value // http.Header of the last /solve request
@@ -54,10 +53,6 @@ func newFakeReplica() *fakeReplica {
 			return
 		}
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		st, _ := f.status.Load().(serve.Statusz)
-		json.NewEncoder(w).Encode(st)
 	})
 	f.ts = httptest.NewServer(mux)
 	return f
@@ -272,22 +267,99 @@ func TestRouterHysteresisCounters(t *testing.T) {
 	}
 }
 
-// The router's /statusz fleet view carries each replica's last polled
-// /statusz: backlog, drain flag and cache counters, with the snapshot's
-// age (-1 before the first poll).
-func TestRouterStatuszFleetView(t *testing.T) {
-	a := newFakeReplica()
-	defer a.ts.Close()
-	a.status.Store(serve.Statusz{
-		Draining: true,
-		Admit:    serve.AdmitStatus{BacklogSeconds: 2.5},
-		Cache:    serve.CacheStatus{Hits: 7, Misses: 3},
+// The work ceiling is enforced once, at the replica: the router decodes
+// but does not build, so an over-ceiling spec passes through it and the
+// replica's 400 reaches the client. dprouter_bad_spec_total counts only
+// bodies the router cannot decode.
+func TestRouterPassesWorkCeilingThrough(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	replica := httptest.NewServer(srv.Handler())
+	defer replica.Close()
+	rt := newTestRouter(t, Config{Replicas: []string{replica.URL}})
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	// 16 node-valued stages of 4096 values: 131 KB, under every payload
+	// cap, but 15·4096² transitions, far past the ceiling.
+	stage := "[" + strings.TrimSuffix(strings.Repeat("1,", 4096), ",") + "]"
+	body := `{"problem":"nodevalued","cost":"absdiff","values":[` +
+		strings.TrimSuffix(strings.Repeat(stage+",", 16), ",") + `]}`
+	for _, url := range []string{replica.URL, ts.URL} {
+		resp, msg := postBody(t, url, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "work units") {
+			t.Fatalf("%s: status %d %q, want 400 naming the work units", url, resp.StatusCode, msg)
+		}
+	}
+	if got := rt.Metrics().BadSpec.Value(); got != 0 {
+		t.Errorf("bad_spec counter %d, want 0: the replica rejected the spec", got)
+	}
+}
+
+// A replica draining through the real dpserve drain path leaves the
+// ring: its /healthz answers 503, the router ejects it within EjectAfter
+// probes, and a key it owned is answered by the ring successor.
+func TestRouterEjectsDrainingReplica(t *testing.T) {
+	var servers [2]*serve.Server
+	var bases [2]string
+	for i := range servers {
+		servers[i] = serve.New(serve.Config{})
+		ts := httptest.NewServer(servers[i].Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(servers[i].Close)
+		bases[i] = ts.URL
+	}
+	rt := newTestRouter(t, Config{
+		Replicas:       bases[:],
+		HealthInterval: 10 * time.Millisecond,
+		EjectAfter:     3,
 	})
-	rt := newTestRouter(t, Config{Replicas: []string{a.base()}, HealthInterval: 10 * time.Millisecond})
-	waitFor(t, time.Second, func() bool { return rt.Statusz()[0].StatusAgeMs >= 0 })
-	got := rt.Statusz()[0]
-	if got.BacklogSeconds != 2.5 || !got.ReplicaDraining || got.CacheHits != 7 || got.CacheMisses != 3 {
-		t.Errorf("fleet view %+v does not carry the replica's /statusz", got)
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	// Find a key replica 0 owns: the first candidate for its hash.
+	owned := ""
+	for i := 0; i < 200 && owned == ""; i++ {
+		f, err := spec.Decode([]byte(chainBody(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := f.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.candidates(key)[0].base == bases[0] {
+			owned = chainBody(i)
+		}
+	}
+	if owned == "" {
+		t.Fatal("no key maps to replica 0")
+	}
+
+	servers[0].BeginDrain()
+	healthy := func() bool {
+		for _, rs := range rt.Statusz() {
+			if rs.Base == bases[0] {
+				return rs.Healthy
+			}
+		}
+		t.Fatal("draining replica left the fleet view")
+		return false
+	}
+	// EjectAfter probes at 10ms apart; the bound leaves room for a slow
+	// race-detector run.
+	waitFor(t, 2*time.Second, func() bool { return !healthy() })
+
+	before := servers[1].Metrics().Requests("chain")
+	resp, body := postBody(t, ts.URL, owned)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("owned key after drain: status %d: %s", resp.StatusCode, body)
+	}
+	if got := servers[1].Metrics().Requests("chain"); got != before+1 {
+		t.Errorf("surviving replica served %d requests for the owned key, want 1", got-before)
+	}
+	if got := rt.Metrics().Ejections.Value(); got != 1 {
+		t.Errorf("ejections %d, want 1", got)
 	}
 }
 

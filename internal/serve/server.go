@@ -164,7 +164,7 @@ func New(cfg Config) *Server {
 		metrics: NewMetrics(),
 		cache:   NewLRU(cfg.CacheSize),
 		flight:  newFlight(),
-		spans:   obs.NewSpanRecorder(cfg.TraceSpans),
+		spans:   obs.NewSpanRecorder(obs.ServeTier, cfg.TraceSpans),
 		logger:  cfg.Logger,
 		jobs:    make(chan *job, cfg.QueueSize),
 		stop:    make(chan struct{}),

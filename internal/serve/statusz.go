@@ -5,13 +5,12 @@ import (
 	"net/http"
 )
 
-// Statusz is the machine-readable replica status served at /statusz. It
-// is the router tier's view of one dpserve, aggregated into the router's
-// own /statusz fleet view that dptop reads: whether it is draining, how
-// loaded its admission backlog is, the calibrated per-kind service rates
-// its admission prices with, and its cache counters. The schema is part
-// of the serving contract — internal/route decodes exactly this shape —
-// so fields are additive-only.
+// Statusz is the machine-readable replica status served at /statusz, for
+// operators: whether it is draining, how loaded its admission backlog
+// is, the calibrated per-kind service rates its admission prices with,
+// and its cache counters. The rates are shown nowhere else; the backlog
+// and cache counters are also on /metrics, where dptop reads them. The
+// schema is part of the serving contract, so fields are additive-only.
 type Statusz struct {
 	Draining   bool        `json:"draining"`
 	Workers    int         `json:"workers"`
@@ -63,7 +62,7 @@ func (s *Server) Statusz() Statusz {
 
 // handleStatusz serves the replica status JSON. Unlike /healthz it keeps
 // answering 200 while draining — the body carries the draining flag — so
-// a router can distinguish "drained on purpose" from "dead".
+// an operator can tell "drained on purpose" from "dead".
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -29,7 +29,7 @@ func getStatusz(t *testing.T, url string) Statusz {
 	return st
 }
 
-// /statusz must expose the router-facing view: worker count, queue
+// /statusz must expose the operator's view: worker count, queue
 // bounds, admission state with calibrated rates, and cache counters that
 // move with traffic.
 func TestStatuszSchema(t *testing.T) {
@@ -70,9 +70,9 @@ func TestStatuszSchema(t *testing.T) {
 	}
 }
 
-// Statusz keeps answering (200, draining=true) after drain begins — the
-// router distinguishes a draining replica from a dead one by body, not
-// by status code.
+// Statusz keeps answering (200, draining=true) after drain begins — an
+// operator tells a draining replica from a dead one by body, not by
+// status code.
 func TestStatuszDuringDrain(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

@@ -173,7 +173,8 @@ func lookup(name string) *kind {
 
 // Build constructs the core problem the spec describes. It builds from
 // Canonical, so a problem reads no field its cache key leaves out. A
-// builder that fails returns an error, and Build drops its problem.
+// builder that fails returns an error, and Build drops its problem; so
+// does a problem whose Work prices more than MaxSpecElems units.
 func (f *File) Build() (core.Problem, error) {
 	k := lookup(f.Problem)
 	if k == nil {
@@ -183,6 +184,12 @@ func (f *File) Build() (core.Problem, error) {
 	p, err := k.build(&c)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %v", err)
+	}
+	// One work ceiling for every kind, in the closed-form units admission
+	// prices with: a body far under the payload cap can still describe
+	// hours of solving (16 node-valued stages of 4096 values is 131 KB).
+	if kind, units := p.Work(); units > MaxSpecElems {
+		return nil, fmt.Errorf("spec: %s problem needs %.0f work units, max %d", kind, units, MaxSpecElems)
 	}
 	return p, nil
 }

@@ -3,23 +3,21 @@ package spec
 import (
 	"fmt"
 	"math"
-
-	"systolicdp/internal/matchain"
-	"systolicdp/internal/nonserial"
 )
 
 // Wire-level sanity limits enforced at Decode time, before any weight
 // reaches a (MIN,+)/(MAX,+) comparison or a solver sizes an array from
 // attacker-controlled dimensions. They are far above anything the
 // engines handle in practice but small enough that a hostile spec cannot
-// request absurd allocations.
+// request absurd allocations. MaxSpecElems also caps the work a built
+// problem may price (Build).
 const (
 	MaxSpecStages   = 4096    // stage matrices / value rows / domains
 	MaxSpecNodes    = 4096    // nodes (columns) per stage
 	MaxSpecSeries   = 1 << 20 // dtw series length
 	MaxSpecChainLen = 4096    // entries of a chain-ordering dims vector
 	MaxSpecDim      = 1 << 20 // a single matrix dimension in a chain
-	MaxSpecElems    = 1 << 24 // total numeric payload across all fields
+	MaxSpecElems    = 1 << 24 // total numeric payload across all fields; Work units per problem
 	MaxSpecJobs     = 4096    // knapsack jobs
 	MaxSpecHorizon  = 1 << 20 // a knapsack due date (bounds the DP row)
 )
@@ -27,7 +25,8 @@ const (
 // Validate rejects NaN/±Inf weights and absurd dimensions. Decode calls
 // it on every wire payload, so a bad spec fails with a clear 400-class
 // error instead of flowing into semiring comparisons (where NaN poisons
-// every min/max) or into array sizing.
+// every min/max) or into array sizing. It bounds memory; the work a
+// valid spec describes is bounded once, by Build.
 func (f *File) Validate() error {
 	elems := 0
 	count := func(n int) error {
@@ -105,14 +104,6 @@ func (f *File) Validate() error {
 			return fmt.Errorf("spec: dims[%d] = %d, max %d", i, d, MaxSpecDim)
 		}
 	}
-	// Bound chain and nonserial work by the closed forms admission prices
-	// them with: a body under 50 KB can describe minutes of solving.
-	if n := len(f.Dims) - 1; matchain.Updates(n) > MaxSpecElems {
-		return fmt.Errorf("spec: chain of %d matrices exceeds %d updates", n, MaxSpecElems)
-	}
-	if steps := nonserial.TermSteps(f.Domains); steps > MaxSpecElems {
-		return fmt.Errorf("spec: %d domains need %d elimination steps, max %d", len(f.Domains), steps, MaxSpecElems)
-	}
 
 	// Fields are checked in declaration order, not by ranging over a
 	// map, so a spec with several bad fields always names the same one.
@@ -131,13 +122,6 @@ func (f *File) Validate() error {
 				return fmt.Errorf("spec: %s[%d]: non-finite sample %v", s.name, i, w)
 			}
 		}
-	}
-
-	// Bound the lattice a dtw or align solve sweeps, |x|·|y| cells, by the
-	// cap the knapsack DP table below uses: each series alone may be long,
-	// but two long ones describe hours of work in a small body.
-	if len(f.X)*len(f.Y) > MaxSpecElems {
-		return fmt.Errorf("spec: %d x %d lattice exceeds %d cells", len(f.X), len(f.Y), MaxSpecElems)
 	}
 
 	for _, g := range [...]struct {
@@ -160,7 +144,6 @@ func (f *File) Validate() error {
 			return fmt.Errorf("spec: %s has %d entries, max %d", j.name, j.n, MaxSpecJobs)
 		}
 	}
-	sumProc, maxDue := 0, 0
 	for i, p := range f.Proc {
 		if p < 0 {
 			return fmt.Errorf("spec: proc[%d] = %d, must be >= 0", i, p)
@@ -168,7 +151,6 @@ func (f *File) Validate() error {
 		if p > MaxSpecHorizon {
 			return fmt.Errorf("spec: proc[%d] = %d, max %d", i, p, MaxSpecHorizon)
 		}
-		sumProc += p
 	}
 	for i, d := range f.Due {
 		if d < 0 {
@@ -176,9 +158,6 @@ func (f *File) Validate() error {
 		}
 		if d > MaxSpecHorizon {
 			return fmt.Errorf("spec: due[%d] = %d, max %d", i, d, MaxSpecHorizon)
-		}
-		if d > maxDue {
-			maxDue = d
 		}
 	}
 	if err := count(len(f.Weights)); err != nil {
@@ -191,12 +170,6 @@ func (f *File) Validate() error {
 		if w < 0 {
 			return fmt.Errorf("spec: weights[%d]: negative weight %v", i, w)
 		}
-	}
-	// Bound the DP table the Lawler-Moore row implies: n cells per wave
-	// over a horizon of min(max due, total work) time units.
-	if horizon := min(maxDue, sumProc); len(f.Proc) > 0 && len(f.Proc)*(horizon+1) > MaxSpecElems {
-		return fmt.Errorf("spec: knapsack DP table %d x %d exceeds %d cells",
-			len(f.Proc), horizon+1, MaxSpecElems)
 	}
 	return nil
 }

@@ -109,32 +109,63 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 		manyDims[i] = 1
 	}
 	longSeries := make([]float64, MaxSpecSeries+1)
-	// 4097 x 4096 is the smallest lattice past MaxSpecElems = 4096².
-	x, y := make([]float64, 4097), make([]float64, 4096)
-	// 464 matrices are the shortest chain past MaxSpecElems updates
-	// (464³/6 + 464² ≈ 1.686e7), and 256·256·257 the smallest single
-	// elimination term past 256³ = MaxSpecElems steps.
+	// Past the payload caps, Validate rejects before anything is built.
+	// Past the work ceiling, Build rejects: MaxSpecElems units of the
+	// kind's Work, which counts one unit beyond its cells. So 4096 x 4096
+	// (2²⁴ + 1 units) is the smallest dtw lattice past it, and 256³ + 1
+	// the smallest three-domain nonserial chain. An align cell is three
+	// units (3·4097·1366 + 1 ≥ 2²⁴). 464 matrices are the shortest chain
+	// past it (464³/6 + 464² ≈ 1.686e7 updates).
+	x, y := make([]float64, 4096), make([]float64, 4096)
 	longChain := make([]int, 465)
 	for i := range longChain {
 		longChain[i] = 1
 	}
-	wideDomains := [][]float64{make([]float64, 256), make([]float64, 256), make([]float64, 257)}
+	cube := [][]float64{make([]float64, 256), make([]float64, 256), make([]float64, 256)}
+	// 16 node-valued stages of 4096 values: a 131 KB body, under every
+	// payload cap, describing 15·4096² ≈ 2.5e8 transitions.
+	deepValues := make([][]float64, 16)
+	for i := range deepValues {
+		deepValues[i] = make([]float64, 4096)
+	}
+	jobs := func(n, p, d int) File {
+		f := File{Problem: "knapsack", Proc: make([]int, n), Due: make([]int, n), Weights: make([]float64, n)}
+		for i := range f.Proc {
+			f.Proc[i], f.Due[i] = p, d
+		}
+		return f
+	}
 	cases := []struct {
-		name string
-		f    File
+		name    string
+		f       File
+		atBuild bool // the work ceiling, not a payload cap, rejects it
 	}{
-		{"wide-stage", File{Problem: "graph", Costs: [][][]float64{{bigRow}}}},
-		{"many-dims", File{Problem: "chain", Dims: manyDims}},
-		{"long-series", File{Problem: "dtw", X: longSeries, Y: []float64{0}}},
-		{"dtw-lattice", File{Problem: "dtw", X: x, Y: y}},
-		{"align-lattice", File{Problem: "align", X: y, Y: x, GapOpen: 2, GapExtend: 1}},
-		{"chain-updates", File{Problem: "chain", Dims: longChain}},
-		{"nonserial-steps", File{Problem: "nonserial", Domains: wideDomains}},
+		{"wide-stage", File{Problem: "graph", Costs: [][][]float64{{bigRow}}}, false},
+		{"many-dims", File{Problem: "chain", Dims: manyDims}, false},
+		{"long-series", File{Problem: "dtw", X: longSeries, Y: []float64{0}}, false},
+		{"dtw-lattice", File{Problem: "dtw", X: x, Y: y}, true},
+		{"align-lattice", File{Problem: "align", X: x, Y: y[:1365], GapOpen: 2, GapExtend: 1}, true},
+		{"chain-updates", File{Problem: "chain", Dims: longChain}, true},
+		{"nonserial-steps", File{Problem: "nonserial", Domains: cube}, true},
+		{"nodevalued-transitions", File{Problem: "nodevalued", Values: deepValues, Cost: "absdiff"}, true},
+		{"knapsack-table", jobs(16, MaxSpecHorizon, MaxSpecHorizon), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.f.Validate(); err == nil {
-				t.Fatal("Validate() = nil, want rejection")
+			err := tc.f.Validate()
+			if !tc.atBuild {
+				if err == nil {
+					t.Fatal("Validate() = nil, want rejection")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Validate() = %v, want the payload caps to pass", err)
+			}
+			_, err = tc.f.Build()
+			if err == nil || !strings.HasPrefix(err.Error(), "spec: "+tc.f.Problem+" problem needs ") ||
+				!strings.Contains(err.Error(), "work units") {
+				t.Fatalf("Build() = %v, want a work-ceiling rejection naming %s and its units", err, tc.f.Problem)
 			}
 		})
 	}
@@ -149,21 +180,23 @@ func TestValidateAcceptsNormalSpecs(t *testing.T) {
 		`{"problem":"nonserial","domains":[[1,2],[1,2],[1,2]],"cost":"span"}`,
 		// A field that is null as a whole is absent.
 		`{"problem":"chain","dims":[2,3],"x":null,"costs":null}`,
-		// The largest lattices the cap admits: 4096 x 4096 cells.
-		`{"problem":"dtw","x":` + zeros(4096) + `,"y":` + zeros(4096) + `}`,
-		`{"problem":"align","x":` + zeros(4096) + `,"y":` + zeros(4096) + `,"gapopen":2,"gapext":1}`,
-		// The longest chain and the widest three-domain nonserial chain
-		// the work bounds admit.
+		// The largest problems the work ceiling admits with a 4096-long
+		// series: dtw 4096 x 4095 cells, and align 4096 x 1364, exactly
+		// MaxSpecElems units (three per cell).
+		`{"problem":"dtw","x":` + zeros(4096) + `,"y":` + zeros(4095) + `}`,
+		`{"problem":"align","x":` + zeros(4096) + `,"y":` + zeros(1364) + `,"gapopen":2,"gapext":1}`,
+		// The longest chain and a three-domain nonserial chain at the
+		// ceiling.
 		`{"problem":"chain","dims":` + ones(464) + `}`,
-		`{"problem":"nonserial","domains":[` + zeros(256) + `,` + zeros(256) + `,` + zeros(256) + `]}`,
+		`{"problem":"nonserial","domains":[` + zeros(256) + `,` + zeros(256) + `,` + zeros(255) + `]}`,
 	}
 	for _, in := range ok {
 		f, err := Decode([]byte(in))
 		if err != nil {
-			t.Fatalf("Decode(%s): %v", in, err)
+			t.Fatalf("Decode(%.80s): %v", in, err)
 		}
 		if _, err := f.Build(); err != nil {
-			t.Fatalf("Build(%s): %v", in, err)
+			t.Fatalf("Build(%.80s): %v", in, err)
 		}
 	}
 }
