@@ -11,6 +11,24 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from golden file; run go test ./internal/obs -update\ngot:\n%s", name, got)
+	}
+}
+
 // golden builds the deterministic trace used by the golden-file and
 // schema tests: 2 PEs over 4 cycles with a one-cycle skew, lock-step wire
 // counts included.
@@ -33,19 +51,7 @@ func TestPerfettoGolden(t *testing.T) {
 	if err := goldenTrace().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "cycle_golden.json")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to regenerate): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("trace JSON drifted from golden file; run go test ./internal/obs -update\ngot:\n%s", buf.String())
-	}
+	checkGolden(t, "cycle_golden.json", buf.Bytes())
 }
 
 // TestPerfettoSchema asserts the export satisfies the Chrome trace-event
