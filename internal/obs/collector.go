@@ -140,7 +140,7 @@ func (c *Collector) logger() *slog.Logger {
 	if c.Logger != nil {
 		return c.Logger
 	}
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return DiscardLogger()
 }
 
 // Collect pulls every endpoint (plus Local) and assembles the union.
