@@ -61,11 +61,14 @@ func StreamProblemFromGraph(g *multistage.Graph) (pipearray.StreamProblem, error
 	if k < 2 {
 		return sp, fmt.Errorf("core: streamed Design 1 needs at least 2 cost matrices")
 	}
-	if mats[k-1].Cols != 1 {
+	last := mats[k-1]
+	if last.Cols != 1 {
 		return sp, fmt.Errorf("core: streamed Design 1 needs a single-sink graph (last stage of 1 node); wrap with SingleSourceSink")
 	}
 	sp.Ms = mats[:k-1]
-	sp.V = mats[k-1].Col(0)
+	// An m × 1 matrix's row-major data is its column: the vector is
+	// shared with the graph, not copied, as the matrices are.
+	sp.V = last.Data[:last.Rows:last.Rows]
 	return sp, nil
 }
 

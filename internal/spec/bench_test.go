@@ -19,8 +19,10 @@ type benchSpec struct {
 // benchSpecs draws one body per kind at the middle of the serving
 // benchmark's mix-small ranges (stages × nodes 11 × 9, series of 18,
 // chains of 12 matrices) and one per compute-large kind (series of 700,
-// chains of 120 matrices, 75 × 37 node values). Integer samples are what
-// that benchmark sends; fractional ones take strconv's general path.
+// chains of 120 matrices, 75 × 37 node values), and 512 × 256 node
+// values, a matrix field of four decode chunks (2^15 numbers each).
+// Integer samples are what that benchmark sends; fractional ones take
+// strconv's general path.
 func benchSpecs(b *testing.B) []benchSpec {
 	var out []benchSpec
 	for _, frac := range []bool{false, true} {
@@ -83,6 +85,7 @@ func benchSpecs(b *testing.B) []benchSpec {
 			{"large", File{Problem: "align", X: vec(700, 999), Y: vec(700, 999), GapOpen: 3, GapExtend: 1}},
 			{"large", File{Problem: "chain", Dims: dims(121)}},
 			{"large", File{Problem: "nodevalued", Values: mat(75, 37, 50), Cost: "absdiff"}},
+			{"huge", File{Problem: "nodevalued", Values: mat(512, 256, 50), Cost: "absdiff"}},
 		} {
 			if frac && c.f.Problem == "chain" {
 				continue // dims are integers either way
