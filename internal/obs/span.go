@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -175,17 +173,15 @@ func SpanFrom(ctx context.Context) *ReqSpan {
 	return s
 }
 
+// RequestIDHeader carries a request's id: the client's, or one a tier
+// minted with NewRequestID. It is spelled in canonical header form, the
+// form Go writes on the wire, so reading or setting it does not
+// canonicalize the name again.
+const RequestIDHeader = "X-Request-Id"
+
 // NewRequestID generates a 16-hex-char request id (propagated as
-// X-Request-ID when the client did not supply one).
-func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back to
-		// a time-based id rather than propagate an error into every request.
-		return fmt.Sprintf("t-%016x", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
+// RequestIDHeader when the client did not supply one).
+func NewRequestID() string { return newHex(8) }
 
 // SpanRecorder keeps one tier's last cap spans in a ring buffer for its
 // /debug/dptrace endpoint: enough history to inspect recent latency

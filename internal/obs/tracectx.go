@@ -26,22 +26,24 @@ type TraceContext struct {
 	SpanID  string // 16 hex chars, this hop's span
 }
 
-// NewTraceContext mints a fresh trace with a fresh root span id.
-func NewTraceContext() TraceContext {
-	return TraceContext{TraceID: newHex(16), SpanID: NewSpanID()}
-}
+// NewTraceID mints a 32-hex-char trace id.
+func NewTraceID() string { return newHex(16) }
 
 // NewSpanID mints a 16-hex-char span id.
 func NewSpanID() string { return newHex(8) }
 
-// newHex returns 2n random hex chars, time-seeded if crypto/rand fails
-// (same policy as NewRequestID: ids must never error a request).
+// newHex returns 2n random hex chars, n at most 16. The random bytes and
+// their hex digits stay on the stack, so the string is the one
+// allocation. If crypto/rand fails the id is time-based instead: ids
+// must never error a request.
 func newHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+	var b [16]byte
+	var h [32]byte
+	if _, err := rand.Read(b[:n]); err != nil {
 		return fmt.Sprintf("%0*x", 2*n, time.Now().UnixNano())[:2*n]
 	}
-	return hex.EncodeToString(b)
+	hex.Encode(h[:], b[:n])
+	return string(h[:2*n])
 }
 
 // String renders the context in TraceHeader wire form.

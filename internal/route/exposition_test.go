@@ -20,6 +20,7 @@ func TestRouterMetricsExpositionTypeChecks(t *testing.T) {
 	m.NoReplica.Inc()
 	m.ProxyErrors.Inc()
 	m.BadSpec.Inc()
+	m.Decodes.Inc()
 	m.Ejections.Inc()
 	m.Readmits.Inc()
 	m.Reloads.Inc()
@@ -41,7 +42,7 @@ func TestRouterMetricsExpositionTypeChecks(t *testing.T) {
 		"dprouter_forwards_total", "dprouter_upstream_responses_total",
 		"dprouter_retries_total", "dprouter_no_replica_total",
 		"dprouter_proxy_errors_total", "dprouter_bad_spec_total",
-		"dprouter_ejections_total", "dprouter_readmits_total",
+		"dprouter_decodes_total", "dprouter_ejections_total", "dprouter_readmits_total",
 		"dprouter_membership_reloads_total", "dprouter_slow_traces_total",
 	} {
 		if _, ok := fams[name]; !ok {

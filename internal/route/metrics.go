@@ -20,6 +20,7 @@ type Metrics struct {
 	NoReplica   serve.Counter // requests with no healthy candidate (503)
 	ProxyErrors serve.Counter // every candidate failed at transport level (502)
 	BadSpec     serve.Counter // requests rejected at decode (400, never forwarded)
+	Decodes     serve.Counter // bodies decoded and hashed to be placed; a repeated body is placed from memory
 	Ejections   serve.Counter // replica health transitions healthy -> ejected
 	Readmits    serve.Counter // replica health transitions ejected -> healthy
 	Reloads     serve.Counter // membership changes applied (file reload or SetReplicas)
@@ -49,6 +50,7 @@ func (m *Metrics) Write(w io.Writer) {
 	promtext.WriteCounter(w, "dprouter_no_replica_total", m.NoReplica.Value())
 	promtext.WriteCounter(w, "dprouter_proxy_errors_total", m.ProxyErrors.Value())
 	promtext.WriteCounter(w, "dprouter_bad_spec_total", m.BadSpec.Value())
+	promtext.WriteCounter(w, "dprouter_decodes_total", m.Decodes.Value())
 	promtext.WriteCounter(w, "dprouter_ejections_total", m.Ejections.Value())
 	promtext.WriteCounter(w, "dprouter_readmits_total", m.Readmits.Value())
 	promtext.WriteCounter(w, "dprouter_membership_reloads_total", m.Reloads.Value())

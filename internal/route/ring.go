@@ -13,10 +13,13 @@
 // exactly the property that keeps per-key cache affinity intact while
 // the replica set evolves.
 //
-// The router does three things per request: decode the body just enough
-// to compute the canonical spec.File hash, place the hash on the ring
-// over healthy replicas, and forward with the remaining deadline
-// propagated via the X-Deadline-Ms header. Shedding is the replica's:
+// The router does three things per request: find the body's canonical
+// spec.File hash, place the hash on the ring over healthy replicas, and
+// forward with the remaining deadline propagated via the X-Deadline-Ms
+// header. The hash needs a decode only the first time the router sees
+// a body's bytes: it remembers the hash under the body's SHA-256 (a
+// bounded memo of the most recent distinct bodies), so a repeated body
+// is placed without a decode or a hash. Shedding is the replica's:
 // its admission control prices the request against that deadline, and
 // its 429 + Retry-After passes back through the router unchanged.
 // Replica lifecycle is managed by a prober with ejection/readmission

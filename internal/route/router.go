@@ -3,6 +3,7 @@ package route
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,9 +66,8 @@ type Config struct {
 	// Default 30s.
 	Deadline time.Duration
 
-	Policy  string       // PolicyHash (default) or PolicyRandom
-	MaxBody int64        // request body cap in bytes; default 64 MiB
-	Logger  *slog.Logger // structured logs; nil discards
+	Policy string       // PolicyHash (default) or PolicyRandom
+	Logger *slog.Logger // structured logs; nil discards
 
 	// TraceSpans is how many recent hop spans the router retains for
 	// /debug/dptrace (and for stitching into /debug/fleettrace). Default
@@ -115,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyHash
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 64 << 20
 	}
 	if c.TraceSpans <= 0 {
 		c.TraceSpans = 256
@@ -172,6 +169,7 @@ type Router struct {
 
 	hops      *obs.SpanRecorder // recent hop spans for /debug/dptrace
 	collector *obs.Collector    // fleet span stitching for /debug/fleettrace
+	placed    placements        // bodies already placed, by their SHA-256
 
 	mux *http.ServeMux
 }
@@ -409,34 +407,35 @@ func (rt *Router) candidates(key string) []*replica {
 	return out
 }
 
-// handleSolve is the proxy path: decode just enough to hash, place on
-// the ring, then forward with the remaining deadline attached, failing
-// over across ring successors on transport errors. Upstream responses
-// pass through verbatim — status, Retry-After, cache disposition,
-// request ID — so a client cannot tell one replica from the fleet, and a
-// replica's admission shed reaches the client as its own 429 +
-// Retry-After. Every request gets a hop span (decode_hash ->
-// candidate_pick -> one annotated proxy phase per attempt) retained for
-// /debug/dptrace, and every response — proxied or router-originated —
-// carries X-Request-ID, so a 400/502/503/504 minted here is as traceable
-// in client logs as a replica answer.
+// handleSolve is the proxy path: find the body's cache key (from memory
+// when these bytes were placed before, else by decoding and hashing the
+// body), place the key on the ring, then forward with the remaining
+// deadline attached, failing over across ring successors on transport
+// errors. Upstream responses pass through verbatim — status,
+// Retry-After, cache disposition, request ID — so a client cannot tell
+// one replica from the fleet, and a replica's admission shed reaches the
+// client as its own 429 + Retry-After. Every request gets a hop span
+// (decode_hash -> candidate_pick -> one annotated proxy phase per
+// attempt) retained for /debug/dptrace, and every response — proxied or
+// router-originated — carries X-Request-Id, so a 400/502/503/504 minted
+// here is as traceable in client logs as a replica answer.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a spec.File JSON body", http.StatusMethodNotAllowed)
 		return
 	}
 	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
+	reqID := r.Header.Get(obs.RequestIDHeader)
 	if reqID == "" {
 		reqID = obs.NewRequestID()
 	}
-	w.Header().Set("X-Request-ID", reqID)
+	w.Header().Set(obs.RequestIDHeader, reqID)
 
 	hop := obs.NewReqSpan(reqID, "", start)
 	if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
 		hop.SetTrace(tc.TraceID, "") // a tracing client stays the trace root
 	} else {
-		hop.SetTrace(obs.NewTraceContext().TraceID, "") // the router is the edge: root here
+		hop.SetTrace(obs.NewTraceID(), "") // the router is the edge: root here
 	}
 	fail := func(status int, msg string) {
 		hop.Finish(time.Now(), status, false)
@@ -454,28 +453,37 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rt.submitMu.RUnlock()
 	defer rt.inflight.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+	body, err := serve.ReadBody(w, r)
 	if err != nil {
 		rt.metrics.BadSpec.Inc()
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	f, err := spec.Decode(body)
-	if err != nil {
-		// Malformed specs die at the edge: no replica burns decode work on
-		// a request that can only 400.
-		rt.metrics.BadSpec.Inc()
-		fail(http.StatusBadRequest, err.Error())
-		return
+	sum := sha256.Sum256(body)
+	pl, ok := rt.placed.get(&sum)
+	if !ok {
+		// An error is never remembered, so a bad body is refused and
+		// counted every time it is sent.
+		rt.metrics.Decodes.Inc()
+		f, err := spec.Decode(body)
+		if err != nil {
+			// Malformed specs die at the edge: no replica burns decode work
+			// on a request that can only 400.
+			rt.metrics.BadSpec.Inc()
+			fail(http.StatusBadRequest, err.Error())
+			return
+		}
+		if pl.key, err = f.Hash(); err != nil {
+			hop.Observe("decode_hash", start, time.Now())
+			rt.metrics.BadSpec.Inc()
+			fail(http.StatusBadRequest, err.Error())
+			return
+		}
+		pl.kind = f.Problem
+		rt.placed.put(&sum, pl)
 	}
-	key, err := f.Hash()
 	hop.Observe("decode_hash", start, time.Now())
-	if err != nil {
-		rt.metrics.BadSpec.Inc()
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
-	hop.SetKind(f.Problem)
+	hop.SetKind(pl.kind)
 
 	deadline := rt.cfg.Deadline
 	if ms := r.Header.Get(serve.DeadlineHeader); ms != "" {
@@ -485,7 +493,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	pickStart := time.Now()
-	cands := rt.candidates(key)
+	cands := rt.candidates(pl.key)
 	hop.ObserveNote("candidate_pick", fmt.Sprintf("candidates=%d", len(cands)), pickStart, time.Now())
 	if len(cands) == 0 {
 		rt.metrics.NoReplica.Inc()
@@ -535,7 +543,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.metrics.ProxyErrors.Inc()
-	rt.logger.Warn("all candidates failed", "key", key[:16], "candidates", len(cands), "err", lastErr)
+	rt.logger.Warn("all candidates failed", "key", pl.key[:16], "candidates", len(cands), "err", lastErr)
 	fail(http.StatusBadGateway, fmt.Sprintf("route: all replicas failed: %v", lastErr))
 }
 
@@ -557,7 +565,7 @@ func (rt *Router) send(ctx context.Context, hop *obs.ReqSpan, reqID string, rep 
 		ms = 1
 	}
 	req.Header.Set(serve.DeadlineHeader, strconv.FormatInt(ms, 10))
-	req.Header.Set("X-Request-ID", reqID)
+	req.Header.Set(obs.RequestIDHeader, reqID)
 	if tc := hop.Context(); tc.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, tc.String())
 	}
@@ -569,7 +577,7 @@ func (rt *Router) send(ctx context.Context, hop *obs.ReqSpan, reqID string, rep 
 // (Retry-After for 429s, the cache disposition, the request ID).
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Dpserve-Cache", "X-Request-ID"} {
+	for _, h := range []string{"Content-Type", "Retry-After", "X-Dpserve-Cache", obs.RequestIDHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

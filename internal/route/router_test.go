@@ -86,7 +86,8 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 }
 
 // Identical bodies must always land on the same replica (shard-local
-// cache affinity), and distinct keys must spread across the fleet.
+// cache affinity), placed from memory after the first, and distinct keys
+// must spread across the fleet.
 func TestRouterHashAffinity(t *testing.T) {
 	a, b := newFakeReplica(), newFakeReplica()
 	defer a.ts.Close()
@@ -109,6 +110,9 @@ func TestRouterHashAffinity(t *testing.T) {
 	if na+nb != 10 || (na != 0 && nb != 0) {
 		t.Fatalf("affinity broken: replica solves %d / %d, want 10 / 0", na, nb)
 	}
+	if got := rt.Metrics().Decodes.Value(); got != 1 {
+		t.Errorf("the same body sent 10 times was decoded %d times, want 1", got)
+	}
 
 	// Many distinct bodies: both replicas see traffic.
 	for i := 1; i <= 40; i++ {
@@ -119,7 +123,8 @@ func TestRouterHashAffinity(t *testing.T) {
 	}
 }
 
-// A malformed spec dies at the edge with 400 — no replica sees it.
+// A malformed spec dies at the edge with 400 — no replica sees it —
+// every time it is sent: a body that failed is not remembered.
 func TestRouterRejectsBadSpecAtEdge(t *testing.T) {
 	a := newFakeReplica()
 	defer a.ts.Close()
@@ -127,19 +132,27 @@ func TestRouterRejectsBadSpecAtEdge(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	// Malformed JSON and a spec Validate rejects (non-finite weight):
-	// both die at decode, before any replica is chosen.
-	for i, body := range []string{`{not json`, `{"problem":"dtw","x":[1,2],"y":[3,"NaN"]}`} {
-		resp, _ := postBody(t, ts.URL, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad spec %d: status %d, want 400", i, resp.StatusCode)
+	// Malformed JSON, a spec Validate rejects (non-finite weight) and an
+	// unknown problem kind: all die at decode, before any replica is
+	// chosen.
+	bodies := []string{`{not json`, `{"problem":"dtw","x":[1,2],"y":[3,"NaN"]}`, `{"problem":"warp-drive"}`}
+	for send := 0; send < 2; send++ {
+		for i, body := range bodies {
+			resp, _ := postBody(t, ts.URL, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bad spec %d, send %d: status %d, want 400", i, send, resp.StatusCode)
+			}
 		}
 	}
 	if a.solves.Load() != 0 {
 		t.Error("bad spec was forwarded to a replica")
 	}
-	if rt.Metrics().BadSpec.Value() != 2 {
-		t.Errorf("bad_spec counter %d, want 2", rt.Metrics().BadSpec.Value())
+	want := int64(2 * len(bodies))
+	if got := rt.Metrics().BadSpec.Value(); got != want {
+		t.Errorf("bad_spec counter %d, want %d", got, want)
+	}
+	if got := rt.Metrics().Decodes.Value(); got != want {
+		t.Errorf("decodes counter %d, want %d", got, want)
 	}
 }
 

@@ -137,10 +137,11 @@ func handlerAllocs(s *Server, body []byte) float64 {
 
 // A replica answers a cached canonical graph body in a fixed, small
 // number of allocations, fewer than a decode-path hit on the same
-// problem: the body is neither decoded nor hashed. The bound is the 22
-// allocations measured when the byte path was added (Go 1.24), plus
-// slack for other Go releases; they are the span, its trace ids, the
-// header values and the body read.
+// problem: the body is neither decoded nor hashed. The bound is the 13
+// allocations measured once each id was minted in one allocation
+// (Go 1.24; 22 when the byte path was added), plus the same slack of 4
+// for other Go releases; they are the span, its ids, the header values
+// and the body read.
 func TestByteHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the decode path's Hash draws its encoder from a sync.Pool")
@@ -164,8 +165,8 @@ func TestByteHitAllocs(t *testing.T) {
 		t.Fatalf("%d cache hits, want 402", got)
 	}
 	t.Logf("allocations per hit: %v from the bytes, %v through decode", byteHit, decodeHit)
-	if byteHit > 26 {
-		t.Errorf("a byte hit allocated %v times, want at most 26", byteHit)
+	if byteHit > 17 {
+		t.Errorf("a byte hit allocated %v times, want at most 17", byteHit)
 	}
 	if byteHit >= decodeHit {
 		t.Errorf("a byte hit allocated %v times, a decode-path hit %v", byteHit, decodeHit)

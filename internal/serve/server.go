@@ -441,6 +441,31 @@ func (b badSpec) Unwrap() error { return b.err }
 // the server's own -timeout.
 const DeadlineHeader = "X-Deadline-Ms"
 
+// MaxBody is the largest request body either tier reads, in bytes.
+const MaxBody = 64 << 20
+
+// maxSizedBody is the largest Content-Length ReadBody allocates for up
+// front, so a request that declares a length and sends only headers
+// makes a tier hold at most 64 KiB.
+const maxSizedBody = 64 << 10
+
+// ReadBody reads a request body of at most MaxBody bytes. A body that
+// declares a Content-Length of at most 64 KiB is read into one buffer of
+// that length; any other body, chunked or declared longer, is read
+// through http.MaxBytesReader, so a body past MaxBody fails with an
+// *http.MaxBytesError. A body shorter than its Content-Length fails with
+// io.ErrUnexpectedEOF either way.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxSizedBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBody))
+}
+
 // StatusClientClosedRequest is nginx's non-standard 499 "client closed
 // request": the client went away before a response existed. It is kept
 // distinct from 504 so dashboards don't blame server capacity for client
@@ -474,7 +499,7 @@ func statusFor(err error) int {
 // without a decode; any other body is decoded and takes solveSpec's
 // path. Every request gets a lifecycle span
 // (decode/queue_wait/batch_assembly/solve/encode) retained for
-// /debug/dptrace, an X-Request-ID (propagated from the client or
+// /debug/dptrace, an X-Request-Id (propagated from the client or
 // generated), and one structured log line.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -482,11 +507,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
+	reqID := r.Header.Get(obs.RequestIDHeader)
 	if reqID == "" {
 		reqID = obs.NewRequestID()
 	}
-	w.Header().Set("X-Request-ID", reqID)
+	w.Header().Set(obs.RequestIDHeader, reqID)
 
 	span := obs.NewReqSpan(reqID, "", start)
 	// Join the distributed trace the router started, or root a fresh one
@@ -494,7 +519,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader)); ok {
 		span.SetTrace(tc.TraceID, tc.SpanID)
 	} else {
-		span.SetTrace(obs.NewTraceContext().TraceID, "")
+		span.SetTrace(obs.NewTraceID(), "")
 	}
 	fail := func(status int, err error) {
 		span.Finish(time.Now(), status, false)
@@ -509,7 +534,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusServiceUnavailable, ErrShutdown)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := ReadBody(w, r)
 	if err != nil {
 		fail(http.StatusBadRequest, err)
 		return

@@ -333,6 +333,13 @@ func TestServeBadSpec400(t *testing.T) {
 	if got := s.Metrics().Errors.Value(); got != 9 {
 		t.Errorf("errors = %d, want 9", got)
 	}
+	// An unknown kind is refused at decode, before it is counted: a
+	// client's made-up name never becomes a series.
+	var exp strings.Builder
+	s.Metrics().Write(&exp)
+	if strings.Contains(exp.String(), "warp-drive") {
+		t.Errorf("an unknown kind has a requests series:\n%s", exp.String())
+	}
 }
 
 // Graceful shutdown flushes pending batches (waiters get answers, not

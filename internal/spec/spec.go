@@ -17,12 +17,15 @@
 //
 //	{"problem":"dtw","x":[0,1,2,3],"y":[0,1,1,2,3]}
 //
-// The router decodes and hashes every request body, and a replica every
-// body that is not a cached spec's canonical encoding, so neither uses
-// reflection on the common path: Decode parses the plain form of a body
-// (see parser) itself and hands any other body to encoding/json, and
-// Hash writes the canonical bytes json.Marshal would. A replica finds a
-// cached canonical body by AppendKey of its bytes alone.
+// The router decodes and hashes each body the first time it sees its
+// bytes, and a replica every body that is not a cached spec's canonical
+// encoding, so neither uses reflection on the common path: Decode parses
+// the plain form of a body (see parser) itself and hands any other body
+// to encoding/json, and Hash writes the canonical bytes json.Marshal
+// would. A replica finds a cached canonical body by AppendKey of its
+// bytes alone, and the router places a body it has placed before by the
+// SHA-256 of its bytes. Decode refuses a problem kind outside Kinds, so
+// neither tier counts or remembers a name a client made up.
 package spec
 
 import (

@@ -22,12 +22,17 @@ const (
 	MaxSpecHorizon  = 1 << 20 // a knapsack due date (bounds the DP row)
 )
 
-// Validate rejects NaN/±Inf weights and absurd dimensions. Decode calls
-// it on every wire payload, so a bad spec fails with a clear 400-class
-// error instead of flowing into semiring comparisons (where NaN poisons
-// every min/max) or into array sizing. It bounds memory; the work a
-// valid spec describes is bounded once, by Build.
+// Validate rejects an unknown problem kind, NaN/±Inf weights and absurd
+// dimensions. Decode calls it on every wire payload, so a bad spec fails
+// with a clear 400-class error instead of flowing into semiring
+// comparisons (where NaN poisons every min/max) or into array sizing,
+// and no tier counts or remembers a kind name the client made up. It
+// bounds memory; the work a valid spec describes is bounded once, by
+// Build.
 func (f *File) Validate() error {
+	if lookup(f.Problem) == nil {
+		return fmt.Errorf("spec: unknown problem kind %q", f.Problem)
+	}
 	elems := 0
 	count := func(n int) error {
 		elems += n
