@@ -18,9 +18,10 @@
 //	dpload -duration 10s -compare -out BENCH_5.json
 //
 // With -compare-batch it instead runs the identical mixed-kind workload
-// with micro-batching off (BatchMax 1: every kind solves one-at-a-time on
-// the general pool) and then on (same-shape concurrent Design-1 graphs
-// share one streamed array run; the other kinds stay on the pool), with
+// with micro-batching off (BatchMax 1: every kind solves one at a time
+// under the server's solve slots) and then on (same-shape concurrent
+// Design-1 graphs share one streamed array run; the other kinds stay on
+// the slots), with
 // the result cache disabled in both phases, and reports per-kind goodput
 // plus per-kernel flush occupancy — the experiment behind the
 // EXPERIMENTS.md batching table:
@@ -120,7 +121,7 @@ func parseFlags(args []string) (config, error) {
 	compareBatch := fs.Bool("compare-batch", false, "in-process only: run the workload with micro-batching off (BatchMax 1), then on; the result cache is disabled so repeat keys cannot mask batching")
 	replicasFlag := fs.String("replicas", "", "in-process scaling mode: comma-separated fleet sizes (e.g. 1,2,4,8); each size runs the identical workload through an in-process dprouter over that many dpserve replicas")
 	ablate := fs.Bool("ablate-random", false, "scaling mode: rerun the largest fleet with random (non-affine) placement as the cache-affinity ablation")
-	workers := fs.Int("workers", 0, "in-process server: general-pool workers (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "in-process server: solves that run at once outside the micro-batcher (0 = NumCPU)")
 	timeout := fs.Duration("timeout", 2*time.Second, "in-process server: per-request solve budget (the deadline admission prices against)")
 	cache := fs.Int("cache", 0, "in-process server: per-replica LRU result-cache entries (0 = server default, negative disables)")
 	batchMax := fs.Int("batch-max", 0, "in-process server: micro-batch size cap (0 = server default, 1 disables batching)")
@@ -715,7 +716,7 @@ func run(cfg config, stdout io.Writer) error {
 	}
 	if cfg.compareBatch {
 		// Identical workload, batching off (BatchMax 1 routes every kind to
-		// the general pool) then on. The result cache is forced off in BOTH
+		// the solve slots) then on. The result cache is forced off in BOTH
 		// phases: with a -keys pool, repeat keys would otherwise resolve as
 		// cache hits and never reach the batcher, flattering neither side.
 		off, on := cfg, cfg

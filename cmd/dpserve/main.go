@@ -52,12 +52,12 @@ func main() {
 func parseFlags(args []string) (string, time.Duration, serve.Config) {
 	fs := flag.NewFlagSet("dpserve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "general-pool workers (0 = NumCPU)")
-	queue := fs.Int("queue", 256, "bounded queue size (full queue answers 429)")
+	workers := fs.Int("workers", 0, "solves that run at once outside the micro-batcher, a late one included (0 = NumCPU)")
+	queue := fs.Int("queue", 256, "requests that may wait for a solve slot, or for a micro-batch flush (past it, 429)")
 	window := fs.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window for Design-1 graph requests")
 	batchMax := fs.Int("batch-max", 16, "flush a micro-batch at this many instances (<=1 disables batching)")
 	cacheSize := fs.Int("cache", 1024, "LRU result-cache entries (<0 disables)")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request solve budget")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request budget: a request still waiting at it answers 504, while a solve already running finishes")
 	traceSpans := fs.Int("trace-spans", 256, "request spans retained for /debug/dptrace")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	admit := fs.Bool("admit", false, "cycle-model admission control: shed requests predicted to miss their deadline with 429 + Retry-After")

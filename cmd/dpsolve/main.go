@@ -39,7 +39,7 @@ func main() {
 	specPath := flag.String("spec", "", "path to a JSON problem specification (overrides -problem)")
 	jsonOut := flag.Bool("json", false, "emit the solution as JSON")
 	dump := flag.String("dump", "", "also write the generated instance as a JSON spec to this path (graph and chain problems)")
-	timeout := flag.Duration("timeout", 0, "abort the solve after this long (0 = no limit); same context plumbing dpserve uses")
+	timeout := flag.Duration("timeout", 0, "abort the solve after this long (0 = no limit)")
 	flag.Parse()
 
 	solveCtx = context.Background()

@@ -16,7 +16,9 @@ import (
 // completes. The underlying computation is not interruptible, so on early
 // return it continues in a background goroutine and its result is
 // discarded; callers that solve untrusted sizes should bound them before
-// submission.
+// submission. The facade's SolveCtx and dpsolve -timeout call it. dpserve
+// calls Solve instead, on a goroutine holding one of its solve slots, so
+// that a late solve keeps its slot until the kernel returns.
 func SolveCtx(ctx context.Context, p Problem) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -27,9 +29,9 @@ func SolveCtx(ctx context.Context, p Problem) (*Solution, error) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		// This goroutine is detached once the caller's context fires; a
-		// panicking Problem implementation must not crash the process
-		// (dpserve runs every solve through here).
+		// This goroutine is detached once the caller's context fires, and
+		// no caller can recover a panic on it, so a panicking Problem
+		// implementation must not crash the process from here.
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- outcome{nil, fmt.Errorf("core: solve panicked: %v", r)}
@@ -79,7 +81,7 @@ func StreamProblemFromGraph(g *multistage.Graph) (pipearray.StreamProblem, error
 // Design-1 stream is batched: it is the one array whose instances share
 // modelled work (one pipeline fill per batch). The other kinds' software
 // kernels shared nothing across a batch, and their measured occupancy
-// stayed at 1.0–1.2, so they solve one at a time on the general pool.
+// stayed at 1.0–1.2, so they solve one at a time outside the batcher.
 type BatchStats struct {
 	Cycles      int
 	Utilization float64
@@ -154,7 +156,7 @@ type BatchKernel interface {
 
 // BatchKernels returns the kernel set in serving priority order. The
 // first kernel whose Shape accepts a problem owns it; every other
-// problem stays on the general pool. The set holds only the Design-1
+// problem is solved alone. The set holds only the Design-1
 // stream (see BatchStats for why).
 func BatchKernels() []BatchKernel {
 	return []BatchKernel{GraphStreamKernel{}}

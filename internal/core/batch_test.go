@@ -101,8 +101,8 @@ func (panicProblem) Describe() string        { return "panic stub" }
 func (panicProblem) Work() (string, float64) { return "panic", 1 }
 
 // Regression: a panic inside the detached solve goroutine used to crash
-// the whole process (dpserve routes every request through SolveCtx); it
-// must surface as an ordinary error instead.
+// the whole process, since no caller can recover a panic on a goroutine
+// it did not start; it must surface as an ordinary error instead.
 func TestSolveCtxRecoversPanic(t *testing.T) {
 	sol, err := SolveCtx(context.Background(), panicProblem{})
 	if sol != nil || err == nil {

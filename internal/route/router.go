@@ -486,10 +486,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	hop.SetKind(pl.kind)
 
 	deadline := rt.cfg.Deadline
-	if ms := r.Header.Get(serve.DeadlineHeader); ms != "" {
-		if v, perr := strconv.ParseInt(ms, 10, 64); perr == nil && v > 0 {
-			deadline = time.Duration(v) * time.Millisecond
-		}
+	if d, ok := serve.ParseDeadline(r.Header.Get(serve.DeadlineHeader)); ok {
+		deadline = d
 	}
 
 	pickStart := time.Now()

@@ -190,6 +190,25 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 	if hdrs.Get("X-Request-ID") != "edge-42" {
 		t.Errorf("request ID not propagated: %q", hdrs.Get("X-Request-ID"))
 	}
+
+	// A header too large for a time.Duration is ignored like a malformed
+	// one, so the router's own deadline applies.
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/solve", strings.NewReader(chainBody(2)))
+	req.Header.Set(serve.DeadlineHeader, "10000000000000")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("overflowing deadline header: status %d, want 200", resp.StatusCode)
+	}
+	hdrs = a.lastHdrs.Load().(http.Header)
+	ms, err = time.ParseDuration(hdrs.Get(serve.DeadlineHeader) + "ms")
+	if err != nil || ms <= 0 || ms > 10*time.Second {
+		t.Fatalf("overflowing deadline: forwarded %q, want (0s, 10s]", hdrs.Get(serve.DeadlineHeader))
+	}
 }
 
 // Ejection and readmission follow the hysteresis thresholds: traffic

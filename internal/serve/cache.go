@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"systolicdp/internal/spec"
 )
@@ -110,8 +111,10 @@ func newFlight() *flight {
 }
 
 // do returns fn's result for key, coalescing concurrent callers. shared
-// reports whether this caller joined an already-in-flight solve.
-func (f *flight) do(ctx context.Context, key string, fn func() (*Response, error)) (resp *Response, shared bool, err error) {
+// reports whether this caller joined an already-in-flight solve. The
+// caller waits until ctx is done or deadline passes, whichever is first;
+// fn runs on past either.
+func (f *flight) do(ctx context.Context, key string, deadline time.Time, fn func() (*Response, error)) (resp *Response, shared bool, err error) {
 	f.mu.Lock()
 	c, ok := f.calls[key]
 	if !ok {
@@ -138,10 +141,14 @@ func (f *flight) do(ctx context.Context, key string, fn func() (*Response, error
 	} else {
 		f.mu.Unlock()
 	}
+	expired := time.NewTimer(time.Until(deadline))
+	defer expired.Stop()
 	select {
 	case <-c.done:
 		return c.resp, ok, c.err
 	case <-ctx.Done():
 		return nil, ok, ctx.Err()
+	case <-expired.C:
+		return nil, ok, context.DeadlineExceeded
 	}
 }

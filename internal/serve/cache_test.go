@@ -64,7 +64,7 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, shared, err := f.do(context.Background(), "k", func() (*Response, error) {
+			resp, shared, err := f.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 				calls.Add(1)
 				<-release
 				return &Response{Cost: 42}, nil
@@ -97,20 +97,20 @@ func TestFlightCoalesces(t *testing.T) {
 func TestFlightWaiterTimeout(t *testing.T) {
 	f := newFlight()
 	release := make(chan struct{})
-	go f.do(context.Background(), "k", func() (*Response, error) {
+	go f.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 		<-release
 		return &Response{Cost: 7}, nil
 	})
 	time.Sleep(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, _, err := f.do(ctx, "k", nil); err != context.DeadlineExceeded {
+	if _, _, err := f.do(ctx, "k", time.Now().Add(time.Minute), nil); err != context.DeadlineExceeded {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}
 	close(release)
 	// The original flight still completes for a fresh waiter that joins
 	// before fn finishes or starts a new call after.
-	resp, _, err := f.do(context.Background(), "k", func() (*Response, error) {
+	resp, _, err := f.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 		return &Response{Cost: 7}, nil
 	})
 	if err != nil || resp.Cost != 7 {
@@ -133,7 +133,7 @@ func TestFlightPanicUnwedgesKeyAndWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = f.do(context.Background(), "k", func() (*Response, error) {
+			_, _, errs[i] = f.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 				close(started)
 				<-boom
 				panic("solver exploded")
@@ -157,7 +157,7 @@ func TestFlightPanicUnwedgesKeyAndWaiters(t *testing.T) {
 	}
 
 	// The key must not be wedged: a fresh call runs a fresh fn.
-	resp, shared, err := f.do(context.Background(), "k", func() (*Response, error) {
+	resp, shared, err := f.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 		return &Response{Cost: 11}, nil
 	})
 	if err != nil || shared || resp.Cost != 11 {

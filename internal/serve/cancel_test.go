@@ -213,7 +213,7 @@ func TestFlightTransientNotShared(t *testing.T) {
 	release := make(chan struct{})
 	leadErr := make(chan error, 1)
 	go func() {
-		_, err := s.flightSolve(context.Background(), "k", func() (*Response, error) {
+		_, err := s.flightSolve(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 			<-release
 			return nil, ErrBusy
 		})
@@ -226,7 +226,7 @@ func TestFlightTransientNotShared(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterResp *Response
 	go func() {
-		r, err := s.flightSolve(context.Background(), "k", func() (*Response, error) {
+		r, err := s.flightSolve(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 			waiterSolves.Add(1)
 			return &Response{Cost: 42}, nil
 		})
@@ -263,7 +263,7 @@ func TestFlightSolverErrorSharedUncounted(t *testing.T) {
 	release := make(chan struct{})
 	leadErr := make(chan error, 1)
 	go func() {
-		_, err := s.flightSolve(context.Background(), "k", func() (*Response, error) {
+		_, err := s.flightSolve(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 			<-release
 			return nil, boom
 		})
@@ -272,7 +272,7 @@ func TestFlightSolverErrorSharedUncounted(t *testing.T) {
 	waitForFlight(t, s, "k")
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := s.flightSolve(context.Background(), "k", func() (*Response, error) {
+		_, err := s.flightSolve(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 			t.Error("waiter re-solved a non-transient failure")
 			return nil, nil
 		})

@@ -41,7 +41,6 @@ type Metrics struct {
 	Batches        Counter // micro-batch flushes
 	Batched        Counter // requests that went through a micro-batch
 	BatchAbandoned Counter // cancelled items dropped at flush assembly
-	ExpiredSkipped Counter // general-pool jobs skipped at pickup (context already done)
 	AdmitShed      Counter // requests shed by cycle-model admission control (429 + Retry-After)
 
 	EngineUtilization Gauge // measured PU of the last streamed run
@@ -51,7 +50,7 @@ type Metrics struct {
 	SolveSeconds   *Histogram             // end-to-end solve latency
 
 	// Per-stage latency histograms: where a request's time actually went.
-	QueueWaitSeconds     *Histogram // enqueue -> worker pickup / batch flush
+	QueueWaitSeconds     *Histogram // solve-slot wait, or enqueue -> batch flush
 	BatchAssemblySeconds *Histogram // first batch arrival -> flush (per flush)
 
 	QueueDepth          func() int     // sampled at render time; nil reads as 0
@@ -90,7 +89,6 @@ func (m *Metrics) Write(w io.Writer) {
 	promtext.WriteCounter(w, "dpserve_batches_total", m.Batches.Value())
 	promtext.WriteCounter(w, "dpserve_batched_requests_total", m.Batched.Value())
 	promtext.WriteCounter(w, "dpserve_batch_abandoned_total", m.BatchAbandoned.Value())
-	promtext.WriteCounter(w, "dpserve_expired_skipped_total", m.ExpiredSkipped.Value())
 	promtext.WriteCounter(w, "dpserve_admit_shed_total", m.AdmitShed.Value())
 	promtext.WriteGauge(w, "dpserve_engine_worker_utilization", m.EngineUtilization.Value())
 	promtext.WriteGauge(w, "dpserve_engine_pu_expected", m.EnginePUExpected.Value())

@@ -7,14 +7,16 @@
 //
 // Architecture:
 //
-//   - a worker pool sharded by problem class: Design-1 multistage graphs
-//     go to the micro-batcher, where same-shape instances stream through
-//     the pipelined array back to back and share one pipeline fill;
-//     every other kind goes to a bounded general pool. Only Design 1 is
-//     batched because only its batch shares work: the other kinds'
-//     kernels would sweep each instance separately anyway, and their
-//     measured batch occupancy stayed at 1.0–1.2, so batching them only
-//     added the collection window to their latency;
+//   - dispatch by problem class: Design-1 multistage graphs go to the
+//     micro-batcher, where same-shape instances stream through the
+//     pipelined array back to back and share one pipeline fill; every
+//     other kind is solved on its singleflight goroutine once it holds
+//     one of Workers slots, so at most Workers such solves run at once,
+//     a late one included, and at most QueueSize callers wait for a
+//     slot. Only Design 1 is batched because only its batch shares work:
+//     the other kinds' kernels would sweep each instance separately
+//     anyway, and their measured batch occupancy stayed at 1.0–1.2, so
+//     batching them only added the collection window to their latency;
 //   - an LRU result cache keyed by the canonical spec hash, with
 //     singleflight deduplication so identical in-flight requests solve
 //     once; each answer is encoded once, and a body that is a cached
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	httppprof "net/http/pprof"
 	"runtime"
@@ -56,8 +59,8 @@ var (
 // Config parameterizes a Server. Zero values select the defaults noted on
 // each field.
 type Config struct {
-	Workers     int           // general-pool workers; default runtime.NumCPU()
-	QueueSize   int           // bounded general queue; default 256
+	Workers     int           // concurrent non-batched solves; default runtime.NumCPU()
+	QueueSize   int           // callers waiting for a solve slot; default 256
 	BatchWindow time.Duration // micro-batch collection window; default 2ms
 	BatchMax    int           // flush at this many instances; default 16; <=1 disables batching
 	CacheSize   int           // LRU entries; default 1024; <0 disables caching
@@ -140,22 +143,6 @@ func (r *Response) seal(kind string) error {
 	return nil
 }
 
-// job is one general-pool work item.
-type job struct {
-	problem  core.Problem
-	ctx      context.Context
-	done     chan jobResult
-	enqueued time.Time
-	span     *obs.ReqSpan // request-lifecycle span; nil-safe
-	kind     string       // admission cost-model kind
-	cycles   float64      // admission cost-model work units
-}
-
-type jobResult struct {
-	sol *core.Solution
-	err error
-}
-
 // Server is the solving service. Create with New, expose via Handler,
 // stop with Close.
 type Server struct {
@@ -167,16 +154,16 @@ type Server struct {
 	admit    *Admitter
 	spans    *obs.SpanRecorder
 	logger   *slog.Logger
-	jobs     chan *job
-	stop     chan struct{} // closed to tell idle workers to exit
-	wg       sync.WaitGroup
-	submitMu sync.RWMutex // excludes submits racing Close's drain
-	draining atomic.Bool  // refuse new work; set by BeginDrain and Close
-	closed   atomic.Bool  // full-teardown latch; set only by Close
+	slots    chan struct{}  // one entry per running non-batched solve; cap Workers
+	waiting  atomic.Int64   // callers waiting for a slot; at most QueueSize
+	solving  sync.WaitGroup // non-batched dispatches Close waits for
+	submitMu sync.RWMutex   // excludes solves racing Close's drain
+	draining atomic.Bool    // refuse new work; set by BeginDrain and Close
+	closed   atomic.Bool    // full-teardown latch; set only by Close
 	mux      *http.ServeMux
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -186,14 +173,13 @@ func New(cfg Config) *Server {
 		flight:  newFlight(),
 		spans:   obs.NewSpanRecorder(obs.ServeTier, cfg.TraceSpans),
 		logger:  cfg.Logger,
-		jobs:    make(chan *job, cfg.QueueSize),
-		stop:    make(chan struct{}),
+		slots:   make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 	}
 	s.admit = NewAdmitter(cfg.AdmitEnabled, cfg.AdmitHeadroom, cfg.Workers)
 	s.batcher = NewBatcher(cfg.BatchWindow, cfg.BatchMax, cfg.QueueSize, s.metrics)
 	s.batcher.SetAdmitter(s.admit)
-	s.metrics.QueueDepth = func() int { return len(s.jobs) }
+	s.metrics.QueueDepth = func() int { return int(s.waiting.Load()) }
 	s.metrics.AdmitBacklogSeconds = s.admit.BacklogSeconds
 	s.mux.HandleFunc("/solve", s.handleSolve)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -207,10 +193,6 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -220,79 +202,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the server's instrumentation (tests, embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// worker drains the general queue; after stop closes it finishes whatever
-// is still queued, then exits.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			s.runJob(j)
-		case <-s.stop:
-			for {
-				select {
-				case j := <-s.jobs:
-					s.runJob(j)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *Server) runJob(j *job) {
-	// A job whose context is already done is dead work: the submitter
-	// returned ctx.Err() long ago, so picking it up would only burn the
-	// worker under exactly the overload that made it expire. Skip it —
-	// counted, not solved, with no queue-wait/solve stage accounting.
-	if err := j.ctx.Err(); err != nil {
-		s.metrics.ExpiredSkipped.Inc()
-		j.done <- jobResult{nil, err}
-		return
-	}
-	start := time.Now()
-	s.metrics.QueueWaitSeconds.Observe(start.Sub(j.enqueued).Seconds())
-	j.span.Observe("queue_wait", j.enqueued, start)
-	sol, err := core.SolveCtx(j.ctx, j.problem)
-	end := time.Now()
-	j.span.Observe("solve", start, end)
-	if err == nil || errors.Is(err, context.DeadlineExceeded) {
-		// Pure solve duration (queue wait excluded) calibrates the
-		// admission model's per-kind service rate. Timed-out solves count
-		// too: they burned their whole budget without finishing, so
-		// cycles/elapsed under-reports the true rate — exactly the
-		// conservative correction needed, since skipping them would teach
-		// the model only from fast survivors and leave it optimistic under
-		// the overload it exists to manage.
-		s.admit.Observe(j.kind, j.cycles, end.Sub(start).Seconds())
-	}
-	j.done <- jobResult{sol, err}
-}
-
-// submit queues a job for the general pool with backpressure. The read
-// lock guarantees no job lands in the queue after Close's final drain.
-func (s *Server) submit(j *job) error {
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	if s.draining.Load() {
-		return ErrShutdown
-	}
-	select {
-	case s.jobs <- j:
-		return nil
-	default:
-		return ErrBusy
-	}
-}
-
 // dispatch routes a problem to its shard — the Design-1 micro-batcher or
-// the general pool — and waits for the solution under ctx. Admission
-// runs first: the request is priced with the closed-form cycle model
-// against its deadline, and shed with an OverloadError (429 +
-// Retry-After upstream) when the predicted completion cannot make it.
-// The reservation holds the request's predicted seconds in the backlog
-// until the work finishes on any path — success, error, or abandonment.
+// a solve slot — and returns its solution. Admission runs first: the
+// request is priced with the closed-form cycle model against its
+// deadline, and shed with an OverloadError (429 + Retry-After upstream)
+// when the predicted completion cannot make it. The reservation holds
+// the request's predicted seconds in the backlog until the work finishes
+// on any path — success, error, panic, or abandonment.
 func (s *Server) dispatch(ctx context.Context, p core.Problem) (*core.Solution, error) {
 	kind, cycles := EstimateCost(p)
 	// EstimateCost already prices the Design-1 stream, the one batched
@@ -315,24 +231,59 @@ func (s *Server) dispatch(ctx context.Context, p core.Problem) (*core.Solution, 
 	if batched {
 		return s.batcher.Submit(ctx, p)
 	}
-	j := &job{
-		problem:  p,
-		ctx:      ctx,
-		done:     make(chan jobResult, 1),
-		enqueued: time.Now(),
-		span:     obs.SpanFrom(ctx),
-		kind:     kind,
-		cycles:   cycles,
+	return s.solve(ctx, p, kind, cycles)
+}
+
+// solve waits under ctx for one of the Workers slots, then runs p on the
+// calling goroutine and frees the slot when the kernel returns. A solve
+// that has started runs to its end, however late, so at most Workers
+// run at once. A caller that finds every slot taken waits, up to
+// QueueSize of them, and past that gets ErrBusy. A ctx that is done
+// before the slot is taken never solves and records no queue wait. The
+// read lock orders each solving.Add before Close's Wait.
+func (s *Server) solve(ctx context.Context, p core.Problem, kind string, cycles float64) (*core.Solution, error) {
+	s.submitMu.RLock()
+	if s.draining.Load() {
+		s.submitMu.RUnlock()
+		return nil, ErrShutdown
 	}
-	if err := s.submit(j); err != nil {
+	s.solving.Add(1)
+	s.submitMu.RUnlock()
+	defer s.solving.Done()
+
+	enqueued := time.Now()
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		if s.waiting.Add(1) > int64(s.cfg.QueueSize) {
+			s.waiting.Add(-1)
+			return nil, ErrBusy
+		}
+		select {
+		case s.slots <- struct{}{}:
+			s.waiting.Add(-1)
+		case <-ctx.Done():
+			s.waiting.Add(-1)
+			return nil, ctx.Err()
+		}
+	}
+	defer func() { <-s.slots }()
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	select {
-	case r := <-j.done:
-		return r.sol, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	start := time.Now()
+	span := obs.SpanFrom(ctx)
+	s.metrics.QueueWaitSeconds.Observe(start.Sub(enqueued).Seconds())
+	span.Observe("queue_wait", enqueued, start)
+	sol, err := core.Solve(p)
+	end := time.Now()
+	span.Observe("solve", start, end)
+	if err == nil {
+		// The solve's own duration, queue wait excluded, calibrates the
+		// admission model's per-kind service rate.
+		s.admit.Observe(kind, cycles, end.Sub(start).Seconds())
 	}
+	return sol, err
 }
 
 // solveSpec is the full cache → singleflight → dispatch path for one
@@ -349,6 +300,17 @@ func (s *Server) solveSpec(ctx context.Context, f *spec.File) (resp *Response, c
 		return resp, true, http.StatusOK, nil
 	}
 
+	// A miss's budget is the server's -timeout clamped to the request's
+	// remaining deadline (X-Deadline-Ms from a routing tier, or a client
+	// disconnect deadline): work the edge has already given up on must not
+	// be admitted or solved at full budget here. It ends the detached solve
+	// context and bounds each caller's wait, so a request answers 504 on
+	// time while a solve that has started runs on; a retry joins that
+	// flight, or finds its answer cached.
+	deadline := time.Now().Add(s.cfg.Timeout)
+	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+		deadline = dl
+	}
 	fn := func() (*Response, error) {
 		// Counted here — inside the flight leader — not at the LRU miss
 		// above: coalesced waiters fall through the cache check too, and
@@ -361,18 +323,8 @@ func (s *Server) solveSpec(ctx context.Context, f *spec.File) (resp *Response, c
 		}
 		// The solve context is detached from the request (singleflight may
 		// outlive its first caller), so the request span is re-attached
-		// explicitly for stage accounting. The detached budget is the
-		// server's -timeout clamped to the leader's remaining deadline
-		// (X-Deadline-Ms from a routing tier, or a client disconnect
-		// deadline): work the edge has already given up on must not be
-		// admitted or solved at full budget here.
-		budget := s.cfg.Timeout
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem < budget {
-				budget = rem
-			}
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), budget)
+		// explicitly for stage accounting.
+		sctx, cancel := context.WithDeadline(context.Background(), deadline)
 		defer cancel()
 		sctx = obs.WithSpan(sctx, obs.SpanFrom(ctx))
 		start := time.Now()
@@ -397,26 +349,27 @@ func (s *Server) solveSpec(ctx context.Context, f *spec.File) (resp *Response, c
 		s.cache.Put(key, r)
 		return r, nil
 	}
-	resp, err = s.flightSolve(ctx, key, fn)
+	resp, err = s.flightSolve(ctx, key, deadline, fn)
 	if err != nil {
 		return nil, false, statusFor(err), err
 	}
 	return resp, false, http.StatusOK, nil
 }
 
-// flightSolve runs fn through the singleflight group. A waiter that
-// inherits the lead caller's transient answer (ErrBusy / ErrShutdown)
-// retries the solve path once: the lead's queue-full or draining verdict
-// reflects conditions at *its* submit instant, and inheriting it would
-// turn one full queue into N rejections of deduplicated requests. Only
-// successful coalescing counts toward FlightShare.
-func (s *Server) flightSolve(ctx context.Context, key string, fn func() (*Response, error)) (*Response, error) {
-	resp, shared, err := s.flight.do(ctx, key, fn)
+// flightSolve runs fn through the singleflight group, waiting until
+// deadline at most. A waiter that inherits the lead caller's transient
+// answer (ErrBusy / ErrShutdown) retries the solve path once, under the
+// same deadline: the lead's queue-full or draining verdict reflects
+// conditions at *its* submit instant, and inheriting it would turn one
+// full queue into N rejections of deduplicated requests. Only successful
+// coalescing counts toward FlightShare.
+func (s *Server) flightSolve(ctx context.Context, key string, deadline time.Time, fn func() (*Response, error)) (*Response, error) {
+	resp, shared, err := s.flight.do(ctx, key, deadline, fn)
 	if shared {
 		s.metrics.FlightWait.Inc()
 	}
 	if shared && (errors.Is(err, ErrBusy) || errors.Is(err, ErrShutdown)) {
-		resp, shared, err = s.flight.do(ctx, key, fn)
+		resp, shared, err = s.flight.do(ctx, key, deadline, fn)
 		if shared {
 			s.metrics.FlightWait.Inc()
 		}
@@ -440,6 +393,20 @@ func (b badSpec) Unwrap() error { return b.err }
 // context and the detached solve budget to the smaller of the header and
 // the server's own -timeout.
 const DeadlineHeader = "X-Deadline-Ms"
+
+// ParseDeadline reads a DeadlineHeader value. It reports false for an
+// empty, malformed or non-positive value, and for one too large for a
+// time.Duration, so the caller keeps its own default.
+func ParseDeadline(v string) (time.Duration, bool) {
+	if v == "" {
+		return 0, false
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
 
 // MaxBody is the largest request body either tier reads, in bytes.
 const MaxBody = 64 << 20
@@ -590,12 +557,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// A proxied request carries the edge's remaining deadline; honor it by
 	// shrinking the request context (never growing it past -timeout, which
 	// solveSpec applies as the ceiling on the detached solve budget).
-	if ms := r.Header.Get(DeadlineHeader); ms != "" {
-		if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(v)*time.Millisecond)
-			defer cancel()
-		}
+	if d, ok := ParseDeadline(r.Header.Get(DeadlineHeader)); ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
 	ctx = obs.WithSpan(ctx, span)
 	resp, cached, status, err := s.solveSpec(ctx, f)
@@ -672,8 +637,8 @@ func (s *Server) BeginDrain() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close gracefully shuts the server down: new requests are rejected with
-// 503, pending micro-batches flush, queued general-pool jobs run to
-// completion, and all workers exit before Close returns.
+// 503, pending micro-batches flush, and Close returns once every solve
+// that was waiting for a slot or running has ended.
 func (s *Server) Close() {
 	s.submitMu.Lock()
 	already := s.closed.Swap(true)
@@ -683,6 +648,5 @@ func (s *Server) Close() {
 		return
 	}
 	s.batcher.Close()
-	close(s.stop)
-	s.wg.Wait()
+	s.solving.Wait()
 }

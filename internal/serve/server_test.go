@@ -383,57 +383,60 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// Regression: a general-pool job whose context expired while it sat in
-// the queue must be skipped at pickup — counted in
-// dpserve_expired_skipped_total, with no queue-wait or solve stage
-// recorded — instead of being handed to the solver after its submitter
-// already gave up.
-func TestRunJobSkipsExpiredContext(t *testing.T) {
+// A request whose context is done by the time it reaches a solve slot
+// is dead work: its caller has given up, so solving it would only burn a
+// slot under exactly the overload that made it expire. dispatch returns
+// the context's error without solving (no rate is calibrated) and
+// records no queue wait; a live request solves and records one.
+func TestDispatchSkipsExpiredContext(t *testing.T) {
 	s := New(Config{BatchWindow: -1})
 	defer s.Close()
+	p := &core.ChainOrderingProblem{Dims: []int{5, 6, 7}}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // expired before pickup, like a deadline passing in-queue
-	j := &job{
-		problem:  &core.ChainOrderingProblem{Dims: []int{5, 6, 7}},
-		ctx:      ctx,
-		done:     make(chan jobResult, 1),
-		enqueued: time.Now(),
+	cancel()
+	sol, err := s.dispatch(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("expired dispatch err = %v, want context.Canceled", err)
 	}
-	before := s.metrics.QueueWaitSeconds.Count()
-	s.runJob(j)
-	r := <-j.done
-	if !errors.Is(r.err, context.Canceled) {
-		t.Errorf("skipped job err = %v, want context.Canceled", r.err)
+	if sol != nil {
+		t.Errorf("expired dispatch produced a solution: %+v", sol)
 	}
-	if r.sol != nil {
-		t.Errorf("skipped job produced a solution: %+v", r.sol)
+	if rate := s.admit.Rate("chain"); rate != 0 {
+		t.Errorf("expired dispatch solved: chain rate calibrated to %v", rate)
 	}
-	if got := s.metrics.ExpiredSkipped.Value(); got != 1 {
-		t.Errorf("expired skips = %d, want 1", got)
-	}
-	if got := s.metrics.QueueWaitSeconds.Count(); got != before {
-		t.Errorf("queue-wait observations = %d, want %d (dead work must not pollute stage latencies)", got, before)
+	if got := s.metrics.QueueWaitSeconds.Count(); got != 0 {
+		t.Errorf("queue-wait observations = %d, want 0 (dead work must not pollute stage latencies)", got)
 	}
 
-	// A live job still solves and does record its stages.
-	j2 := &job{
-		problem:  &core.ChainOrderingProblem{Dims: []int{5, 6, 7}},
-		ctx:      context.Background(),
-		done:     make(chan jobResult, 1),
-		enqueued: time.Now(),
+	if sol, err := s.dispatch(context.Background(), p); err != nil || sol == nil {
+		t.Errorf("live dispatch: sol=%v err=%v", sol, err)
 	}
-	s.runJob(j2)
-	if r := <-j2.done; r.err != nil || r.sol == nil {
-		t.Errorf("live job: sol=%v err=%v", r.sol, r.err)
+	if got := s.metrics.QueueWaitSeconds.Count(); got != 1 {
+		t.Errorf("queue-wait observations = %d, want 1", got)
 	}
-	if got := s.metrics.ExpiredSkipped.Value(); got != 1 {
-		t.Errorf("live job wrongly counted as expired (skips = %d)", got)
-	}
-	var sb strings.Builder
-	s.metrics.Write(&sb)
-	if !strings.Contains(sb.String(), "dpserve_expired_skipped_total 1") {
-		t.Errorf("/metrics missing expired-skip counter:\n%s", sb.String())
+}
+
+// ParseDeadline takes a positive count of milliseconds that fits a
+// time.Duration and refuses anything else, so the caller's default holds.
+func TestParseDeadline(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want time.Duration
+		ok   bool
+	}{
+		{"1500", 1500 * time.Millisecond, true},
+		{"9223372036854", 9223372036854 * time.Millisecond, true},
+		{"9223372036855", 0, false},
+		{"10000000000000", 0, false},
+		{"0", 0, false},
+		{"-5", 0, false},
+		{"1.5", 0, false},
+		{"", 0, false},
+	} {
+		if got, ok := ParseDeadline(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseDeadline(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
 	}
 }
 

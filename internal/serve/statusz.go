@@ -14,8 +14,8 @@ import (
 type Statusz struct {
 	Draining   bool        `json:"draining"`
 	Workers    int         `json:"workers"`
-	QueueDepth int         `json:"queue_depth"`
-	QueueCap   int         `json:"queue_cap"`
+	QueueDepth int         `json:"queue_depth"` // callers waiting for a solve slot
+	QueueCap   int         `json:"queue_cap"`   // QueueSize; a caller past it gets 429
 	Admit      AdmitStatus `json:"admit"`
 	Cache      CacheStatus `json:"cache"`
 }
@@ -43,8 +43,8 @@ func (s *Server) Statusz() Statusz {
 	return Statusz{
 		Draining:   s.draining.Load(),
 		Workers:    s.cfg.Workers,
-		QueueDepth: len(s.jobs),
-		QueueCap:   cap(s.jobs),
+		QueueDepth: int(s.waiting.Load()),
+		QueueCap:   s.cfg.QueueSize,
 		Admit: AdmitStatus{
 			Enabled:        s.admit.Enabled(),
 			Headroom:       s.admit.HeadroomFactor(),

@@ -162,4 +162,9 @@ func TestDeadlineHeaderHonoredByAdmission(t *testing.T) {
 	if code, _, _, _ := postSpec(t, ts.URL, `{"problem":"chain","dims":[30,35,15,5,10,20,25]}`); code != http.StatusOK {
 		t.Fatalf("unproxied request: status %d, want 200", code)
 	}
+	// So has one whose header is too large for a time.Duration: it is
+	// ignored like a malformed one, not wrapped to a negative deadline.
+	if code := postWithDeadline(t, ts.URL, `{"problem":"chain","dims":[30,35,15,5,10,20,26]}`, "10000000000000"); code != http.StatusOK {
+		t.Fatalf("overflowing deadline header: status %d, want 200", code)
+	}
 }

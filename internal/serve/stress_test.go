@@ -38,7 +38,7 @@ func TestStressCacheFlightCollidingKeys(t *testing.T) {
 				case 1:
 					lru.Put(key, &Response{Cost: float64(i)})
 				case 2:
-					resp, _, err := fl.do(context.Background(), key, func() (*Response, error) {
+					resp, _, err := fl.do(context.Background(), key, time.Now().Add(time.Minute), func() (*Response, error) {
 						if rng.Intn(8) == 0 {
 							return nil, fmt.Errorf("transient")
 						}
@@ -52,7 +52,7 @@ func TestStressCacheFlightCollidingKeys(t *testing.T) {
 				default:
 					// Panicking leaders must neither wedge the key nor
 					// leak a waiter; waiters see an error.
-					fl.do(context.Background(), key, func() (*Response, error) {
+					fl.do(context.Background(), key, time.Now().Add(time.Minute), func() (*Response, error) {
 						panic("stress panic")
 					})
 				}
@@ -159,7 +159,7 @@ func TestStressFlightPanicConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _, err := fl.do(context.Background(), "k", func() (*Response, error) {
+				_, _, err := fl.do(context.Background(), "k", time.Now().Add(time.Minute), func() (*Response, error) {
 					panic("round boom")
 				})
 				if err != nil && !strings.Contains(err.Error(), "panic") {
