@@ -52,7 +52,9 @@ type Phase struct {
 // replica's span. Phases may be recorded from the handler goroutine and
 // from worker/batcher goroutines; the span locks. All mutable fields —
 // including the problem kind, which the batcher path can race against
-// export — live under the mutex.
+// export — live under the mutex. The first inlinePhases phases are kept
+// in the span itself, so a hit at either tier records its phases
+// without growing a slice.
 type ReqSpan struct {
 	ID    string
 	Start time.Time
@@ -63,15 +65,24 @@ type ReqSpan struct {
 	spanID   string // this span's id within the trace
 	parentID string // the router hop span that caused this request, if any
 	phases   []Phase
+	inline   [inlinePhases]Phase // phases' array until it outgrows it
 	end      time.Time
 	status   int
 	cached   bool
 	replica  string // router hops: the upstream that answered, if any
 }
 
+// inlinePhases is how many phases a span holds without a separate
+// allocation: a replica's unbatched miss records four (decode,
+// queue_wait, solve, encode), and a router hop whose first forward
+// answers three (decode_hash, candidate_pick, proxy).
+const inlinePhases = 4
+
 // NewReqSpan opens a span for one request with a freshly minted span id.
 func NewReqSpan(id, kind string, start time.Time) *ReqSpan {
-	return &ReqSpan{ID: id, kind: kind, spanID: NewSpanID(), Start: start}
+	s := &ReqSpan{ID: id, kind: kind, spanID: NewSpanID(), Start: start}
+	s.phases = s.inline[:0]
+	return s
 }
 
 // SetKind records the problem kind once it is known (after decode).

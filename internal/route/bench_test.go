@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"systolicdp/internal/serve"
 	"systolicdp/internal/spec"
 )
 
@@ -32,15 +33,18 @@ func (cannedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // discardWriter is a ResponseWriter that keeps its header map and the
-// last status, and drops the body.
+// last status, and drops the body. Like http.Server's ResponseWriter it
+// is an io.ReaderFrom that copies through a pooled buffer, so relaying a
+// replica's body does not allocate a copy buffer per request.
 type discardWriter struct {
 	h    http.Header
 	code int
 }
 
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Header() http.Header                 { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error)         { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)                { w.code = code }
+func (w *discardWriter) ReadFrom(r io.Reader) (int64, error) { return io.Copy(io.Discard, r) }
 
 // bodyReader is a reusable request body.
 type bodyReader struct{ bytes.Reader }
@@ -127,9 +131,49 @@ func freshen(body []byte, at, i int) {
 	copy(body[at:at+10], strconv.AppendInt(digits[:0], int64(1e9+i), 10))
 }
 
-// BenchmarkRouterSolve times the router's /solve handler with its
-// forwards answered by cannedTransport: "fresh" sends bytes the router
+// routedSeries returns the canonical body of a dtw spec whose x holds
+// 4,200 three-digit samples, 17,015 bytes (hot-routed's p99 body is
+// 17 KB), and whose y holds 8, so its one solve is short.
+func routedSeries(tb testing.TB) []byte {
+	tb.Helper()
+	f := spec.File{Problem: "dtw", X: make([]float64, 4200), Y: make([]float64, 8)}
+	for i := range f.X {
+		f.X[i] = float64(100 + (7*i)%900)
+	}
+	for i := range f.Y {
+		f.Y[i] = float64(100 * (i + 1))
+	}
+	c := f.Canonical()
+	body, err := json.Marshal(&c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// loopbackRouter is a router over one real dpserve replica on an
+// httptest server, so a forward makes a real round trip on loopback.
+func loopbackRouter(tb testing.TB) *Router {
+	tb.Helper()
+	s := serve.New(serve.Config{})
+	ts := httptest.NewServer(s.Handler())
+	tb.Cleanup(ts.Close)
+	tb.Cleanup(s.Close)
+	rt, err := New(Config{Replicas: []string{ts.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(rt.Close)
+	return rt
+}
+
+// BenchmarkRouterSolve times the router's /solve handler. With its
+// forwards answered by cannedTransport, "fresh" sends bytes the router
 // has not seen on every iteration, "repeated" the same body each time.
+// The "loopback" cases repeat one canonical body through a real replica,
+// so they also time the forward's round trip, its write of the body and
+// the parse of the replica's answer, which the canned transport skips:
+// the replica answers each from its byte path.
 func BenchmarkRouterSolve(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		s := newSolver(cannedRouter(b))
@@ -160,4 +204,26 @@ func BenchmarkRouterSolve(b *testing.B) {
 			b.Fatalf("status %d", status)
 		}
 	})
+	graph, _ := routedGraph(b)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"loopback-1.3KB", graph}, {"loopback-17KB", routedSeries(b)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s := newSolver(loopbackRouter(b))
+			if status := s.solve(tc.body); status != http.StatusOK {
+				b.Fatalf("warm-up: status %d", status)
+			}
+			b.SetBytes(int64(len(tc.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			status := 0
+			for i := 0; i < b.N; i++ {
+				status = s.solve(tc.body)
+			}
+			if status != http.StatusOK {
+				b.Fatalf("status %d", status)
+			}
+		})
+	}
 }

@@ -7,14 +7,17 @@ import (
 
 // placedGeneration is how many bodies one generation of the placement
 // memo holds. The memo keeps two, so it remembers the last 4,096 to
-// 8,192 distinct bodies it placed, about 1.7 MiB when full (Go 1.24).
+// 8,192 distinct bodies it placed, about 1.9 MiB when full (Go 1.24).
 const placedGeneration = 4096
 
 // placement is what the router needs to place a body: the cache key
-// File.Hash gave its spec, which picks the ring owner, and its problem
-// kind, which names the hop span.
+// File.Hash gave its spec, the key's ring point, hash64(key), from which
+// the ring is searched for its owner, and its problem kind, which names
+// the hop span. The point is computed once, when the body is first
+// placed, so a repeat hashes only its bytes.
 type placement struct {
 	key, kind string
+	point     uint64
 }
 
 // placements maps the SHA-256 of a body's bytes to its placement. The

@@ -17,9 +17,13 @@
 // spec.File hash, place the hash on the ring over healthy replicas, and
 // forward with the remaining deadline propagated via the X-Deadline-Ms
 // header. The hash needs a decode only the first time the router sees
-// a body's bytes: it remembers the hash under the body's SHA-256 (a
-// bounded memo of the most recent distinct bodies), so a repeated body
-// is placed without a decode or a hash. Shedding is the replica's:
+// a body's bytes: it remembers the hash and the hash's ring point under
+// the body's SHA-256 (a bounded memo of the most recent distinct
+// bodies), so a repeated body is placed without a decode, a hash or a
+// second digest. A forward goes straight to the Transport's RoundTrip,
+// to a /solve URL parsed when its replica joined the membership, so a
+// replica base that does not parse is refused there rather than failing
+// forwards. Shedding is the replica's:
 // its admission control prices the request against that deadline, and
 // its 429 + Retry-After passes back through the router unchanged.
 // Replica lifecycle is managed by a prober with ejection/readmission
@@ -32,6 +36,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -142,17 +147,21 @@ func (r *Ring) Successors(key string, n int) []string {
 	if len(r.points) == 0 || n < 1 {
 		return nil
 	}
-	if n > len(r.replicas) {
-		n = len(r.replicas)
-	}
-	h := hash64(key)
+	return r.appendSuccessors(make([]string, 0, min(n, len(r.replicas))), hash64(key), n)
+}
+
+// appendSuccessors appends to out the replicas Successors returns for a
+// key whose ring point is h. A key fails over across a few replicas, so
+// a linear scan of what is already appended finds duplicates without a
+// set, and a caller that passes a small array places a key without
+// allocating.
+func (r *Ring) appendSuccessors(out []string, h uint64, n int) []string {
+	n = min(n, len(r.replicas))
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	from := len(out)
+	for i := 0; i < len(r.points) && len(out)-from < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.replica] {
-			seen[p.replica] = true
+		if !slices.Contains(out[from:], p.replica) {
 			out = append(out, p.replica)
 		}
 	}

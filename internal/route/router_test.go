@@ -360,7 +360,7 @@ func TestRouterEjectsDrainingReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt.candidates(key)[0].base == bases[0] {
+		if rt.candidates(nil, hash64(key))[0].base == bases[0] {
 			owned = chainBody(i)
 		}
 	}
