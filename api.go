@@ -77,12 +77,9 @@ func SolveCtx(ctx context.Context, p Problem) (*Solution, error) { return core.S
 
 // SolveGraphBatch solves a batch of identically-shaped single-sink
 // multistage graphs in one streamed Design-1 run — all instances share a
-// single pipeline fill. This is the batch entry point the dpserve
-// micro-batcher flushes through.
-func SolveGraphBatch(gs []*Graph) ([]*Solution, error) {
-	sols, _, err := core.SolveGraphBatch(gs)
-	return sols, err
-}
+// single pipeline fill. dpserve answers the same graphs by each one's
+// direct sweep, which gives the same bits.
+func SolveGraphBatch(gs []*Graph) ([]*Solution, error) { return core.SolveGraphBatch(gs) }
 
 // DTW is the dynamic-time-warping problem in classifiable form: Solve
 // routes it to the anti-diagonal systolic array (see DTWDistance).

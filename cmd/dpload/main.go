@@ -20,8 +20,8 @@
 // With -compare-batch it instead runs the identical mixed-kind workload
 // with micro-batching off (BatchMax 1: every kind solves one at a time
 // under the server's solve slots) and then on (same-shape concurrent
-// Design-1 graphs share one streamed array run; the other kinds stay on
-// the slots), with
+// Design-1 graphs flush together to the batch kernel, which solves each
+// by its sweep; the other kinds stay on the slots), with
 // the result cache disabled in both phases, and reports per-kind goodput
 // plus per-kernel flush occupancy — the experiment behind the
 // EXPERIMENTS.md batching table:

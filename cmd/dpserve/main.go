@@ -1,7 +1,8 @@
 // Command dpserve runs the long-lived DP-solving service: an HTTP/JSON
 // endpoint that accepts internal/spec problem files, micro-batches
-// concurrent Design-1 graph requests through one streamed pipelined
-// array, caches results by canonical spec hash, and exports metrics.
+// concurrent Design-1 graph requests, solves every kind by its
+// sequential sweep, caches results by canonical spec hash, and exports
+// metrics.
 //
 // Usage:
 //

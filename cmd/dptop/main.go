@@ -1,9 +1,7 @@
 // Command dptop is a live terminal dashboard for a dpserve fleet behind
 // dprouter: one row per replica with RED rates (requests, errors,
 // duration) computed as counter deltas between polls, admission backlog,
-// cache hit rate, consistent-hash ring ownership share, health state,
-// and the engine's measured processor utilization against the paper's
-// closed-form prediction.
+// cache hit rate, consistent-hash ring ownership share and health state.
 //
 //	dptop -router http://localhost:8090
 //	dptop -router http://localhost:8090 -once | jq .
@@ -177,12 +175,10 @@ type row struct {
 	Inflight       int64              `json:"inflight"`
 	OwnShare       float64            `json:"own_share"`
 	BacklogSeconds float64            `json:"backlog_seconds"`
-	ReqRate        float64            `json:"req_rate"`       // requests/s over the poll window
-	ErrRate        float64            `json:"err_rate"`       // errors+rejections+timeouts per second
-	P95Ms          float64            `json:"p95_ms"`         // solve latency p95
-	CacheHitRate   float64            `json:"cache_hit_rate"` // cumulative since the replica started
-	PUMeasured     float64            `json:"pu_measured"`
-	PUExpected     float64            `json:"pu_expected"`
+	ReqRate        float64            `json:"req_rate"`             // requests/s over the poll window
+	ErrRate        float64            `json:"err_rate"`             // errors+rejections+timeouts per second
+	P95Ms          float64            `json:"p95_ms"`               // solve latency p95
+	CacheHitRate   float64            `json:"cache_hit_rate"`       // cumulative since the replica started
 	KindRates      map[string]float64 `json:"kind_rates,omitempty"` // per-problem req/s
 	ScrapeError    string             `json:"scrape_error,omitempty"`
 }
@@ -246,8 +242,6 @@ func buildSnapshot(prev, cur *pollResult) snapshot {
 			r.CacheHitRate = hits / (hits + misses)
 		}
 		r.P95Ms = curF.Labeled("dpserve_solve_latency_quantile_seconds", "quantile")["0.95"] * 1e3
-		r.PUMeasured = curF.Value("dpserve_engine_worker_utilization")
-		r.PUExpected = curF.Value("dpserve_engine_pu_expected")
 		if prevF, ok := prev.families[st.Base]; ok && dt > 0 {
 			r.ReqRate = (totalRequests(curF) - totalRequests(prevF)) / dt
 			r.ErrRate = (totalErrors(curF) - totalErrors(prevF)) / dt
@@ -276,8 +270,8 @@ func render(w io.Writer, snap snapshot) {
 	}
 	fmt.Fprintf(w, "dptop  policy=%s  %s  window=%.1fs  %s\n\n",
 		snap.Router.Policy, state, snap.WindowSeconds, time.Now().Format("15:04:05"))
-	fmt.Fprintf(w, "%-28s %-7s %7s %7s %8s %6s %8s %6s %5s %11s\n",
-		"REPLICA", "HEALTH", "REQ/S", "ERR/S", "P95_MS", "HIT%", "BACKLOG", "SHARE", "INFL", "PU m/e")
+	fmt.Fprintf(w, "%-28s %-7s %7s %7s %8s %6s %8s %6s %5s\n",
+		"REPLICA", "HEALTH", "REQ/S", "ERR/S", "P95_MS", "HIT%", "BACKLOG", "SHARE", "INFL")
 	for _, r := range snap.Replicas {
 		health := "ok"
 		switch {
@@ -290,10 +284,9 @@ func render(w io.Writer, snap snapshot) {
 			fmt.Fprintf(w, "%-28s %-7s  scrape failed: %s\n", shorten(r.Base, 28), health, r.ScrapeError)
 			continue
 		}
-		fmt.Fprintf(w, "%-28s %-7s %7.1f %7.1f %8.2f %5.0f%% %7.1fs %5.2f %5d %5.2f/%4.2f\n",
+		fmt.Fprintf(w, "%-28s %-7s %7.1f %7.1f %8.2f %5.0f%% %7.1fs %5.2f %5d\n",
 			shorten(r.Base, 28), health, r.ReqRate, r.ErrRate, r.P95Ms,
-			r.CacheHitRate*100, r.BacklogSeconds, r.OwnShare, r.Inflight,
-			r.PUMeasured, r.PUExpected)
+			r.CacheHitRate*100, r.BacklogSeconds, r.OwnShare, r.Inflight)
 	}
 }
 

@@ -37,8 +37,6 @@ func newFakeFleet(t *testing.T) *fakeFleet {
 		fmt.Fprintf(w, "# TYPE dpserve_errors_total counter\ndpserve_errors_total %d\n", n)
 		fmt.Fprintf(w, "# TYPE dpserve_rejected_total counter\ndpserve_rejected_total 0\n")
 		fmt.Fprintf(w, "# TYPE dpserve_timeouts_total counter\ndpserve_timeouts_total 0\n")
-		fmt.Fprintf(w, "# TYPE dpserve_engine_worker_utilization gauge\ndpserve_engine_worker_utilization 0.41\n")
-		fmt.Fprintf(w, "# TYPE dpserve_engine_pu_expected gauge\ndpserve_engine_pu_expected 0.44\n")
 		fmt.Fprintf(w, "# TYPE dpserve_solve_latency_quantile_seconds gauge\n")
 		fmt.Fprintf(w, "dpserve_solve_latency_quantile_seconds{quantile=\"0.95\"} 0.002\n")
 		fmt.Fprintf(w, "# TYPE dpserve_admit_backlog_seconds gauge\ndpserve_admit_backlog_seconds 1.5\n")
@@ -104,9 +102,6 @@ func TestOnceSnapshot(t *testing.T) {
 	if live.P95Ms != 2 {
 		t.Errorf("p95 %.3fms, want 2", live.P95Ms)
 	}
-	if live.PUMeasured != 0.41 || live.PUExpected != 0.44 {
-		t.Errorf("PU %v/%v, want 0.41/0.44", live.PUMeasured, live.PUExpected)
-	}
 	if live.CacheHitRate != 0.75 {
 		t.Errorf("cache hit rate %v, want 0.75", live.CacheHitRate)
 	}
@@ -132,7 +127,7 @@ func TestRenderTable(t *testing.T) {
 	var buf bytes.Buffer
 	render(&buf, buildSnapshot(prev, cur))
 	out := buf.String()
-	for _, want := range []string{"policy=hash", "REPLICA", "EJECTED", "scrape failed", "0.41/0.44"} {
+	for _, want := range []string{"policy=hash", "REPLICA", "EJECTED", "scrape failed", " 1.5s "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

@@ -343,10 +343,10 @@ func (c *checker) checkBcastarray(s semiring.Comparative, ms []*matrix.Matrix, v
 	}
 }
 
-// checkStream cross-checks the streamed (batched) Design-1 array — the
-// serving substrate — against the one-shot array, for a single instance
-// and for a duplicated batch, under both runners, and the serving batch
-// entry point against the sequential baseline.
+// checkStream cross-checks the streamed (batched) Design-1 array against
+// the one-shot array, for a single instance and for a duplicated batch,
+// under both runners, and the batch kernel dpserve runs against the
+// sequential baseline.
 func (c *checker) checkStream(ms []*matrix.Matrix, v, ref []float64, g *multistage.Graph, baseCost float64) {
 	one := pipearray.StreamProblem{Ms: ms, V: v}
 	for _, b := range []int{1, 3} {
@@ -380,8 +380,9 @@ func (c *checker) checkStream(ms []*matrix.Matrix, v, ref []float64, g *multista
 			}
 		}
 	}
-	// The serving batch entry point.
-	sols, _, err := core.SolveGraphBatch([]*multistage.Graph{g, g})
+	// The batch kernel dpserve runs.
+	p := &core.MultistageProblem{Graph: g, Design: 1}
+	sols, err := core.GraphStreamKernel{}.Solve([]core.Problem{p, p})
 	if err != nil {
 		c.addf("result", "core-batch", "%v", err)
 		return

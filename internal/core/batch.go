@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	papermetrics "systolicdp/internal/metrics"
 	"systolicdp/internal/multistage"
 	"systolicdp/internal/pipearray"
 	"systolicdp/internal/semiring"
@@ -74,53 +73,33 @@ func StreamProblemFromGraph(g *multistage.Graph) (pipearray.StreamProblem, error
 	return sp, nil
 }
 
-// BatchStats reports the engine-side measurements of one streamed
-// Design-1 batch run: the model wall-cycle count, the measured processor
-// utilization (the paper's PU, observed through the serving path), and
-// the eq. (9) closed-form PU to chart next to the measurement. Only the
-// Design-1 stream is batched: it is the one array whose instances share
-// modelled work (one pipeline fill per batch). The other kinds' software
-// kernels shared nothing across a batch, and their measured occupancy
-// stayed at 1.0–1.2, so they solve one at a time outside the batcher.
-type BatchStats struct {
-	Cycles      int
-	Utilization float64
-	PUExpected  float64
-}
-
 // SolveGraphBatch solves a batch of identically-shaped single-sink
 // multistage graphs in ONE streamed Design-1 run on the lock-step
 // engine: all instances share a single pipeline fill (B*K'*m + m - 1
 // cycles versus B*(K'*m + m - 1) for separate runs). Returns one
-// Solution per graph, in order, and the run's BatchStats. All graphs
-// must share stage count and stage sizes; pipearray.NewStream enforces
-// this.
-func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, *BatchStats, error) {
+// Solution per graph, in order. All graphs must share stage count and
+// stage sizes; pipearray.NewStream enforces this. The facade and the
+// differential checker run it; dpserve does not, since each instance's
+// direct sweep (Solve) gives the same bits for less work on one core.
+func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, error) {
 	if len(gs) == 0 {
-		return nil, nil, fmt.Errorf("core: empty graph batch")
+		return nil, fmt.Errorf("core: empty graph batch")
 	}
 	problems := make([]pipearray.StreamProblem, len(gs))
 	for i, g := range gs {
 		sp, err := StreamProblemFromGraph(g)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: batch graph %d: %v", i, err)
+			return nil, fmt.Errorf("core: batch graph %d: %v", i, err)
 		}
 		problems[i] = sp
 	}
 	st, err := pipearray.NewStream(problems)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	outs, res, err := st.RunObserved(false)
+	outs, _, err := st.RunObserved(false)
 	if err != nil {
-		return nil, nil, err
-	}
-	stats := &BatchStats{
-		Cycles:      res.Cycles,
-		Utilization: res.Utilization(),
-		// Eq. (9) closed-form PU for this stream's shape: n = K'+1 stages of
-		// m-vectors.
-		PUExpected: papermetrics.PUEq9(len(problems[0].Ms)+1, len(problems[0].V)),
+		return nil, err
 	}
 	mp := semiring.MinPlus{}
 	class := Class{Monadic, Serial}
@@ -132,15 +111,15 @@ func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, *BatchStats, error) {
 			Cost:   semiring.Fold(mp, out),
 		}
 	}
-	return sols, stats, nil
+	return sols, nil
 }
 
 // BatchKernel is one problem kind's batched solver: the serving tier's
 // shape-bucketed scheduler groups concurrent problems by (Kind, Shape)
-// and hands each bucket to its kernel in one shared run. Implementations
-// must be bitwise identical per instance to the kind's sequential engine
-// (the differential checker enforces this), and must not let one
-// instance's values affect another's.
+// and hands each bucket to its kernel. Implementations must be bitwise
+// identical per instance to the kind's sequential engine (the
+// differential checker enforces this), and must not let one instance's
+// values affect another's.
 type BatchKernel interface {
 	// Kind names the kernel's execution path: the batch-occupancy metric
 	// label and the admission cost-model calibration key for its work.
@@ -149,22 +128,26 @@ type BatchKernel interface {
 	// kernel accepts with equal shape strings may share one run. ok=false
 	// means p is not batchable by this kernel.
 	Shape(p Problem) (shape string, ok bool)
-	// Solve runs the whole batch in one shared sweep, returning one
-	// Solution per problem in order.
-	Solve(ps []Problem) ([]*Solution, *BatchStats, error)
+	// Solve solves the whole batch, returning one Solution per problem
+	// in order.
+	Solve(ps []Problem) ([]*Solution, error)
 }
 
 // BatchKernels returns the kernel set in serving priority order. The
 // first kernel whose Shape accepts a problem owns it; every other
-// problem is solved alone. The set holds only the Design-1
-// stream (see BatchStats for why).
+// problem is solved alone. The set holds only the Design-1 kernel:
+// Design 1 was batched because its streamed instances share one
+// pipeline fill, which no other kind's kernel offered.
 func BatchKernels() []BatchKernel {
 	return []BatchKernel{GraphStreamKernel{}}
 }
 
-// GraphStreamKernel batches Design-1 multistage graphs through the
-// streamed pipelined array (SolveGraphBatch): B same-shape
-// instances share one pipeline fill, B·K'·m + m − 1 cycles total.
+// GraphStreamKernel collects same-shape Design-1 multistage graphs and
+// solves each member alone by its direct sweep (Solve). It keeps the
+// stream's kind and shape buckets, but no longer streams them through
+// the pipelined array (SolveGraphBatch): on one core, a batch's shared
+// pipeline fill saved 1-29% of a cycle-stepped simulation that costs
+// 14-17 times the sweep.
 type GraphStreamKernel struct{}
 
 // Kind names the Design-1 stream path.
@@ -193,15 +176,18 @@ func (GraphStreamKernel) Shape(p Problem) (string, bool) {
 	return b.String(), true
 }
 
-// Solve streams the batch through the pipelined array.
-func (GraphStreamKernel) Solve(ps []Problem) ([]*Solution, *BatchStats, error) {
-	gs := make([]*multistage.Graph, len(ps))
+// Solve solves each member by Solve, in order.
+func (GraphStreamKernel) Solve(ps []Problem) ([]*Solution, error) {
+	sols := make([]*Solution, len(ps))
 	for i, p := range ps {
-		mp, ok := p.(*MultistageProblem)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: graph-stream kernel got %T", p)
+		if _, ok := p.(*MultistageProblem); !ok {
+			return nil, fmt.Errorf("core: graph-stream kernel got %T", p)
 		}
-		gs[i] = mp.Graph
+		sol, err := Solve(p)
+		if err != nil {
+			return nil, fmt.Errorf("core: batch graph %d: %v", i, err)
+		}
+		sols[i] = sol
 	}
-	return SolveGraphBatch(gs)
+	return sols, nil
 }

@@ -24,7 +24,7 @@ func TestSolveGraphBatchMatchesSingle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		gs = append(gs, testGraph(seed, 5, 4))
 	}
-	batch, _, err := SolveGraphBatch(gs)
+	batch, err := SolveGraphBatch(gs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,10 @@ func TestSolveGraphBatchMatchesSingle(t *testing.T) {
 
 func TestSolveGraphBatchRejectsMixedShapes(t *testing.T) {
 	gs := []*multistage.Graph{testGraph(1, 5, 4), testGraph(2, 5, 3)}
-	if _, _, err := SolveGraphBatch(gs); err == nil {
+	if _, err := SolveGraphBatch(gs); err == nil {
 		t.Fatal("mixed-shape batch should fail")
 	}
-	if _, _, err := SolveGraphBatch(nil); err == nil {
+	if _, err := SolveGraphBatch(nil); err == nil {
 		t.Fatal("empty batch should fail")
 	}
 }

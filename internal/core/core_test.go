@@ -118,15 +118,18 @@ func TestMultistageValidateDesignShapes(t *testing.T) {
 	}
 }
 
-// Pricing a Design-1 graph builds its stream problem, which shares the
-// graph's matrices and sink column: no allocation.
+// Every design prices a graph per edge under one kind, and pricing
+// allocates nothing.
 func TestMultistageWorkAllocs(t *testing.T) {
-	p := &MultistageProblem{Graph: testGraph(1, 5, 4), Design: 1}
-	if kind, _ := p.Work(); kind != "graph-stream" {
-		t.Fatalf("Work kind %q, want graph-stream", kind)
-	}
-	if n := testing.AllocsPerRun(100, func() { p.Work() }); n != 0 {
-		t.Errorf("Design-1 Work allocated %v times", n)
+	g := testGraph(1, 5, 4) // 1-4-4-4-4-4-1: 4 + 4·16 + 4 edges
+	for design := 0; design <= 2; design++ {
+		p := &MultistageProblem{Graph: g, Design: design}
+		if kind, units := p.Work(); kind != "graph" || units != 72 {
+			t.Fatalf("design %d: Work = (%q, %v), want (graph, 72)", design, kind, units)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.Work() }); n != 0 {
+			t.Errorf("design %d: Work allocated %v times", design, n)
+		}
 	}
 }
 

@@ -38,7 +38,26 @@ func NewMetrics() *Metrics {
 // Forwarded counts one upstream response from the given replica.
 func (m *Metrics) Forwarded(replica string, status int) {
 	m.forwards.With(replica).Inc()
-	m.statuses.With(strconv.Itoa(status)).Inc()
+	m.statuses.With(statusLabel(status)).Inc()
+}
+
+// statusLabels holds the decimal labels of the standard status codes,
+// 100 to 599, formatted once: strconv.Itoa allocates for any number past
+// 99, and Forwarded runs on every routed request.
+var statusLabels = func() (labels [500]string) {
+	for i := range labels {
+		labels[i] = strconv.Itoa(100 + i)
+	}
+	return labels
+}()
+
+// statusLabel returns status in decimal, from statusLabels when it holds
+// the code.
+func statusLabel(status int) string {
+	if status >= 100 && status < 100+len(statusLabels) {
+		return statusLabels[status-100]
+	}
+	return strconv.Itoa(status)
 }
 
 // Write renders all metrics in Prometheus text exposition format, in a

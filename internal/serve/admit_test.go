@@ -31,32 +31,15 @@ func specProblem(t *testing.T, js string) core.Problem {
 	return p
 }
 
-// EstimateCost must reproduce the paper's closed forms: Design-1 streams
-// cost K'·m + m − 1 cycles, DTW |x|·|y| cells, chain ordering ~n³/6
-// table updates — and every kind must price strictly positive.
+// EstimateCost must reproduce the paper's closed forms: graphs of every
+// design cost one multiply-accumulate per edge, DTW |x|·|y| cells, chain
+// ordering ~n³/6 table updates — and every kind must price strictly
+// positive.
 func TestEstimateCostClosedForms(t *testing.T) {
+	// graphSpec is a 1-4-4-1 staged graph: 4 + 16 + 4 edges.
 	kind, cycles := EstimateCost(specProblem(t, graphSpec(0)))
-	if kind != "graph-stream" {
-		t.Fatalf("design-1 graph kind = %q, want graph-stream", kind)
-	}
-	// graphSpec is a 1-4-4-1 staged graph: the stream problem has m = 4
-	// (padded vector) and K' matrices; verify against the engine's own
-	// model rather than hand-deriving the padding.
-	p := specProblem(t, graphSpec(0)).(*core.MultistageProblem)
-	// dispatch prices a batched problem under EstimateCost's kind and the
-	// batcher calibrates it under the kernel's: the two must agree.
-	for _, k := range core.BatchKernels() {
-		if _, ok := k.Shape(p); ok && k.Kind() != kind {
-			t.Errorf("kernel %q batches a problem EstimateCost prices as %q", k.Kind(), kind)
-		}
-	}
-	sp, err := core.StreamProblemFromGraph(p.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(len(sp.Ms)*len(sp.V) + len(sp.V) - 1)
-	if cycles != want {
-		t.Errorf("design-1 cycles = %v, want K'·m+m-1 = %v", cycles, want)
+	if kind != "graph" || cycles != 24 {
+		t.Fatalf("design-1 graph = (%q, %v), want (graph, 24)", kind, cycles)
 	}
 
 	kind, cycles = EstimateCost(&core.DTWProblem{X: make([]float64, 7), Y: make([]float64, 5)})
@@ -291,8 +274,8 @@ func TestServeAdmissionShedsOverHTTP(t *testing.T) {
 }
 
 // Solving through the real pipeline calibrates every kind it touches:
-// the Design-1 batcher path feeds the graph-stream rate, the pool the
-// chain rate.
+// the Design-1 batcher path feeds the graph rate, as an unbatched graph
+// would, and a solve slot the chain rate.
 func TestAdmitterCalibratesFromTraffic(t *testing.T) {
 	s := New(Config{BatchWindow: time.Millisecond, BatchMax: 4})
 	defer s.Close()
@@ -302,8 +285,11 @@ func TestAdmitterCalibratesFromTraffic(t *testing.T) {
 	postSpec(t, ts.URL, graphSpec(0))
 	postSpec(t, ts.URL, `{"problem":"chain","dims":[30,35,15,5,10,20,25]}`)
 
-	if r := s.admit.Rate("graph-stream"); r <= 0 {
-		t.Error("batched Design-1 solve did not calibrate graph-stream rate")
+	if r := s.admit.Rate("graph"); r <= 0 {
+		t.Error("batched Design-1 solve did not calibrate the graph rate")
+	}
+	if r := s.admit.Rate("graph-stream"); r != 0 {
+		t.Errorf("batched Design-1 solve calibrated the retired graph-stream rate: %v", r)
 	}
 	if r := s.admit.Rate("chain"); r <= 0 {
 		t.Error("pool chain solve did not calibrate the chain rate")

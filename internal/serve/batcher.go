@@ -12,12 +12,10 @@ import (
 
 // Batcher micro-batches concurrent Design-1 graph requests: problems of
 // one shape that arrive within one collection window are flushed together
-// through the streamed pipelined array, so B instances pay one pipeline
-// fill (and one scheduling round) instead of B. This is the serving-side
-// form of the paper's Section 3.2 observation that successive instances
-// can be fed with no inter-problem delay. The bucketing is keyed by
-// kernel kind and shape (core.BatchKernels), but the stream is the only
-// kernel: no other kind's batch shares work (see core.BatchStats).
+// to their batch kernel, which solves each member by its direct sweep.
+// The members share no work, so a batch buys only the window's wait; the
+// batcher stays while perfbench still reads its batch wait and occupancy. The bucketing is keyed by kernel kind and shape
+// (core.BatchKernels), and the Design-1 kernel is the only one.
 type Batcher struct {
 	window   time.Duration // collection window after the first arrival
 	maxBatch int           // flush immediately at this many instances
@@ -37,7 +35,7 @@ type Batcher struct {
 
 	// solveBatch is the batch solve entry point; tests override it to
 	// exercise the flush failure paths. Nil means the kernel's own Solve.
-	solveBatch func(k core.BatchKernel, ps []core.Problem) ([]*core.Solution, *core.BatchStats, error)
+	solveBatch func(k core.BatchKernel, ps []core.Problem) ([]*core.Solution, error)
 
 	// testPreFlush is a test seam that runs in Submit between releasing
 	// b.mu and spawning the size-triggered flush goroutine — the window in
@@ -219,7 +217,7 @@ func (b *Batcher) runFlush(bt *batch) {
 	}()
 }
 
-// flush runs one batched kernel sweep and delivers each instance's
+// flush runs one batch kernel call and delivers each instance's
 // result. Items whose submitter already gave up (ctx done) are dropped at
 // assembly: their slots are released immediately, they consume no kernel
 // cycles, and no spans are recorded for them — the submitter has long
@@ -260,11 +258,10 @@ func (b *Batcher) flush(bt *batch) {
 	// The batch run executes in a detached goroutine: a panic here would
 	// take down the whole process and strand every waiting submitter, so
 	// it is converted to a per-item error instead.
-	sols, stats, err := func() (sols []*core.Solution, stats *core.BatchStats, err error) {
+	sols, err := func() (sols []*core.Solution, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				sols, stats = nil, nil
-				err = fmt.Errorf("serve: batch solve panicked: %v", r)
+				sols, err = nil, fmt.Errorf("serve: batch solve panicked: %v", r)
 			}
 		}()
 		solve := b.solveBatch
@@ -278,22 +275,16 @@ func (b *Batcher) flush(bt *batch) {
 	b.metrics.Batched.Add(int64(len(live)))
 	b.metrics.BatchOccupancy.With(bt.key.kind).Observe(float64(len(live)))
 	b.metrics.BatchAssemblySeconds.Observe(flushStart.Sub(earliest).Seconds())
-	if stats != nil {
-		// The engine gauges describe the last streamed array run, with the
-		// paper's Eq. 9 closed-form PU for this batch's shape next to the
-		// measured utilization, so dptop and /metrics scrapes can show
-		// measured-vs-predicted without re-deriving the formula.
-		b.metrics.EngineUtilization.Set(stats.Utilization)
-		b.metrics.EnginePUExpected.Set(stats.PUExpected)
-		if b.admit != nil && err == nil {
-			// Calibrate the admission model with the measured batched rate
-			// under the kernel's kind. The streamed engine reports exactly
-			// the cycle count the closed form predicts, so its cycles are
-			// the EstimateCost units, and dividing by the batch wall time
-			// makes the rate absorb occupancy: a single batched request is
-			// priced at its marginal, not standalone, cost.
-			b.admit.Observe(bt.key.kind, float64(stats.Cycles), solveEnd.Sub(solveStart).Seconds())
+	if b.admit != nil && err == nil {
+		// Calibrate the admission model with the batch's summed closed-form
+		// units over its wall time, under the members' own kind, so a
+		// batched request and an unbatched one feed and use one rate.
+		kind, units := ps[0].Work()
+		for _, p := range ps[1:] {
+			_, u := p.Work()
+			units += u
 		}
+		b.admit.Observe(kind, units, solveEnd.Sub(solveStart).Seconds())
 	}
 	for _, it := range live {
 		b.releaseSlot(it)

@@ -50,10 +50,12 @@ func batchCases(t *testing.T) []batchCase {
 // {m, matrixCount, Ms[0].Rows}, taking the row count from the FIRST
 // stage matrix only. A non-uniform Design-1 graph (one narrow middle
 // stage) can agree with a valid uniform graph on all three — while its
-// middle matrix is not m×m, which pipearray.NewStream rejects. Under the
-// old key the two co-bucketed and the whole batch failed, so the VALID
-// request errored collaterally. The full per-matrix profile key buckets
-// them apart: the valid graph solves, the invalid one fails alone.
+// middle matrix is not m×m, which Design 1 cannot run (pipearray.NewStream
+// rejected the batch; the kernel's per-member Solve now refuses it in
+// Validate). Under the old key the two co-bucketed and the whole batch
+// failed, so the VALID request errored collaterally. The full per-matrix
+// profile key puts them in different buckets, flushed apart: the valid
+// graph solves, the invalid one fails alone.
 func TestBatcherShapeKeyUsesFullProfile(t *testing.T) {
 	good := batchGraph(1, 5, 4)                 // uniform: every matrix m×m
 	bad := stagedGraph(2, []int{4, 4, 3, 4, 4}) // 4x3 middle matrix, same m/k/rows
@@ -112,7 +114,7 @@ func TestBatcherShapeKeyUsesFullProfile(t *testing.T) {
 		t.Errorf("valid graph: batched cost %v, want %v", goodSol.Cost, want.Cost)
 	}
 	if badErr == nil {
-		t.Error("non-uniform graph streamed successfully — expected its own bucket to fail")
+		t.Error("non-uniform graph solved as Design 1 — expected its own bucket to fail")
 	}
 	// Two buckets, two flushes: the shapes never shared a kernel run.
 	if got := met.Batches.Value(); got != 2 {

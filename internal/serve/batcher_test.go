@@ -332,7 +332,7 @@ func TestBatcherFlushPanicDeliversErrors(t *testing.T) {
 	met := NewMetrics()
 	b := NewBatcher(20*time.Millisecond, 16, 4, met)
 	defer b.Close()
-	b.solveBatch = func(core.BatchKernel, []core.Problem) ([]*core.Solution, *core.BatchStats, error) {
+	b.solveBatch = func(core.BatchKernel, []core.Problem) ([]*core.Solution, error) {
 		panic("engine blew up")
 	}
 

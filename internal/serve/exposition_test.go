@@ -40,7 +40,7 @@ func TestMetricsExpositionTypeChecks(t *testing.T) {
 		t.Errorf("old duplicate-family quantile series still emitted:\n%s", text)
 	}
 	// The parsed form is what dptop consumes: per-kind request counters
-	// and the engine PU gauges must be readable back out.
+	// and the admission backlog gauge must be readable back out.
 	fams, err := promtext.Parse(text)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestMetricsExpositionTypeChecks(t *testing.T) {
 	if byKind["graph"] != 2 || byKind["chain"] != 1 {
 		t.Errorf("parsed request counters = %v", byKind)
 	}
-	if _, ok := fams["dpserve_engine_pu_expected"]; !ok {
-		t.Error("dpserve_engine_pu_expected gauge missing from exposition")
+	if _, ok := fams["dpserve_admit_backlog_seconds"]; !ok {
+		t.Error("dpserve_admit_backlog_seconds gauge missing from exposition")
 	}
 }
 

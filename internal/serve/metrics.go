@@ -15,8 +15,6 @@ import (
 type (
 	// Counter is a monotone event count.
 	Counter = promtext.Counter
-	// Gauge is a last-write-wins float value.
-	Gauge = promtext.Gauge
 	// Histogram is a fixed-bucket cumulative histogram.
 	Histogram = promtext.Histogram
 )
@@ -42,9 +40,6 @@ type Metrics struct {
 	Batched        Counter // requests that went through a micro-batch
 	BatchAbandoned Counter // cancelled items dropped at flush assembly
 	AdmitShed      Counter // requests shed by cycle-model admission control (429 + Retry-After)
-
-	EngineUtilization Gauge // measured PU of the last streamed run
-	EnginePUExpected  Gauge // paper eq (9) closed-form PU for the last streamed run's shape
 
 	BatchOccupancy *promtext.HistogramVec // instances per flush, labeled by execution-path kind
 	SolveSeconds   *Histogram             // end-to-end solve latency
@@ -90,8 +85,6 @@ func (m *Metrics) Write(w io.Writer) {
 	promtext.WriteCounter(w, "dpserve_batched_requests_total", m.Batched.Value())
 	promtext.WriteCounter(w, "dpserve_batch_abandoned_total", m.BatchAbandoned.Value())
 	promtext.WriteCounter(w, "dpserve_admit_shed_total", m.AdmitShed.Value())
-	promtext.WriteGauge(w, "dpserve_engine_worker_utilization", m.EngineUtilization.Value())
-	promtext.WriteGauge(w, "dpserve_engine_pu_expected", m.EnginePUExpected.Value())
 	m.BatchOccupancy.Write(w, "dpserve_batch_occupancy")
 	m.SolveSeconds.Write(w, "dpserve_solve_latency_seconds")
 	m.QueueWaitSeconds.Write(w, "dpserve_queue_wait_seconds")

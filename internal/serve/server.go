@@ -1,22 +1,18 @@
 // Package serve is the long-lived solving service around the library: an
 // HTTP/JSON endpoint whose wire format is the internal/spec File and
-// whose dispatch is core.Solve. It exists because the one-shot CLIs pay a
-// full pipeline fill per invocation, while the paper's Design 1 amortizes
-// fill across streamed instances — a property only a long-lived process
-// with concurrent traffic can exploit.
+// whose dispatch is core.Solve, so every kind is answered by its
+// sequential sweep and no request steps a simulated array.
 //
 // Architecture:
 //
 //   - dispatch by problem class: Design-1 multistage graphs go to the
-//     micro-batcher, where same-shape instances stream through the
-//     pipelined array back to back and share one pipeline fill; every
-//     other kind is solved on its singleflight goroutine once it holds
-//     one of Workers slots, so at most Workers such solves run at once,
-//     a late one included, and at most QueueSize callers wait for a
-//     slot. Only Design 1 is batched because only its batch shares work:
-//     the other kinds' kernels would sweep each instance separately
-//     anyway, and their measured batch occupancy stayed at 1.0–1.2, so
-//     batching them only added the collection window to their latency;
+//     micro-batcher, whose kernel solves each same-shape instance of a
+//     flush by its own sweep; every other kind is solved on its
+//     singleflight goroutine once it holds one of Workers slots, so at
+//     most Workers such solves run at once, a late one included, and at
+//     most QueueSize callers wait for a slot. The batcher's members share
+//     no work, so it adds only its collection window; it stays while
+//     perfbench reads its batch wait and occupancy;
 //   - an LRU result cache keyed by the canonical spec hash, with
 //     singleflight deduplication so identical in-flight requests solve
 //     once; each answer is encoded once, and a body that is a cached
@@ -213,9 +209,9 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // on any path — success, error, panic, or abandonment.
 func (s *Server) dispatch(ctx context.Context, p core.Problem) (*core.Solution, error) {
 	kind, cycles := EstimateCost(p)
-	// EstimateCost already prices the Design-1 stream, the one batched
-	// kind, under its kernel's own kind ("graph-stream"), so admission and
-	// calibration use one rate key whichever path the problem takes.
+	// A batched Design-1 graph is priced and calibrated under its own
+	// kind ("graph", per edge), as an unbatched graph is, so admission
+	// uses one rate key whichever path the problem takes.
 	batched := false
 	if s.cfg.BatchMax > 1 {
 		_, _, batched = s.batcher.Kernel(p)
