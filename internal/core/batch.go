@@ -121,8 +121,9 @@ func SolveGraphBatch(gs []*multistage.Graph) ([]*Solution, error) {
 // differential checker enforces this), and must not let one instance's
 // values affect another's.
 type BatchKernel interface {
-	// Kind names the kernel's execution path: the batch-occupancy metric
-	// label and the admission cost-model calibration key for its work.
+	// Kind names the kernel: the batch-occupancy metric label and half
+	// of its bucket key. Admission prices and calibrates each member
+	// under the member's own Work kind.
 	Kind() string
 	// Shape returns the batch-compatibility bucket for p: problems this
 	// kernel accepts with equal shape strings may share one run. ok=false
@@ -145,20 +146,22 @@ func BatchKernels() []BatchKernel {
 // GraphStreamKernel collects same-shape Design-1 multistage graphs and
 // solves each member alone by its direct sweep (Solve). It keeps the
 // stream's kind and shape buckets, but no longer streams them through
-// the pipelined array (SolveGraphBatch): on one core, a batch's shared
-// pipeline fill saved 1-29% of a cycle-stepped simulation that costs
-// 14-17 times the sweep.
+// the pipelined array (SolveGraphBatch): on one core the cycle-stepped
+// stream costs 16-29 times the sweep per graph, and sharing one pipeline
+// fill across 16 graphs saved at most a quarter of that
+// (BenchmarkSolveGraph).
 type GraphStreamKernel struct{}
 
-// Kind names the Design-1 stream path.
+// Kind keeps the name the kernel had while it streamed.
 func (GraphStreamKernel) Kind() string { return "graph-stream" }
 
 // Shape returns the FULL per-matrix dimension profile of the stream
 // decomposition — every cost matrix's rows×cols plus the vector length —
 // not just (m, k, rows[0]): two specs can agree on vector length, matrix
 // count and first-stage rows yet still disagree on later-stage
-// dimensions, and co-batching those would feed pipearray.NewStream a
-// mixed-shape batch that fails as a whole.
+// dimensions. Such a pair could not share a stream, and since a failing
+// member fails its whole batch, a graph Validate refuses must not share
+// a bucket with one it accepts.
 func (GraphStreamKernel) Shape(p Problem) (string, bool) {
 	mp, ok := p.(*MultistageProblem)
 	if !ok || mp.Design != 1 {

@@ -83,8 +83,9 @@ func (p *MultistageProblem) solve() (*Solution, error) {
 	// Designs 1-2 answer the arrays' own product, the vector the
 	// pipelined and broadcast arrays emit (pipearray.ReferenceSolve),
 	// swept directly: stepping a simulated array cycle by cycle on one
-	// core gives the same bits at 14-17 times the cost. The answer
-	// stays cost-only, as the arrays' is.
+	// core gives the same bits at 16-29 times the cost
+	// (BenchmarkSolveGraph). The answer stays cost-only, as the arrays'
+	// is.
 	mats := p.Graph.Matrices()
 	k := len(mats)
 	return &Solution{Cost: semiring.Fold(mp, matrix.ChainVec(mp, mats[:k-1], mats[k-1].Col(0)))}, nil

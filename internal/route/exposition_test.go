@@ -72,11 +72,11 @@ func TestRouterMetricsExpositionEmpty(t *testing.T) {
 }
 
 // Counting a forward allocates nothing for the codes a replica answers:
-// their labels are formatted once, so a routed request pays no
-// strconv.Itoa for its status. Every code's label is its decimal form,
-// as strconv.Itoa writes it, inside the table and past it.
+// their labels are spelled out, so a routed request pays no strconv.Itoa
+// for its status. Every code's label is its decimal form, as
+// strconv.Itoa writes it, whether spelled out or not.
 func TestForwardedStatusLabelAllocs(t *testing.T) {
-	for _, status := range []int{-1, 0, 99, 100, 200, 429, 499, 599, 600, 1000} {
+	for _, status := range []int{-1, 0, 99, 100, 200, 400, 405, 429, 499, 500, 503, 504, 599, 1000} {
 		if got, want := statusLabel(status), strconv.Itoa(status); got != want {
 			t.Errorf("statusLabel(%d) = %q, want %q", status, got, want)
 		}
