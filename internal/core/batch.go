@@ -147,9 +147,9 @@ func BatchKernels() []BatchKernel {
 // solves each member alone by its direct sweep (Solve). It keeps the
 // stream's kind and shape buckets, but no longer streams them through
 // the pipelined array (SolveGraphBatch): on one core the cycle-stepped
-// stream costs 16-29 times the sweep per graph, and sharing one pipeline
-// fill across 16 graphs saved at most a quarter of that
-// (BenchmarkSolveGraph).
+// stream costs 18-29 times the sweep per graph, and sharing one pipeline
+// fill across 16 graphs saved a fifth to a third of that at 7 × 6 and
+// nothing at 21 × 18 or 63 × 54 (BenchmarkSolveGraph).
 type GraphStreamKernel struct{}
 
 // Kind keeps the name the kernel had while it streamed.

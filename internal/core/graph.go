@@ -83,7 +83,7 @@ func (p *MultistageProblem) solve() (*Solution, error) {
 	// Designs 1-2 answer the arrays' own product, the vector the
 	// pipelined and broadcast arrays emit (pipearray.ReferenceSolve),
 	// swept directly: stepping a simulated array cycle by cycle on one
-	// core gives the same bits at 16-29 times the cost
+	// core gives the same bits at 18-29 times the cost
 	// (BenchmarkSolveGraph). The answer stays cost-only, as the arrays'
 	// is.
 	mats := p.Graph.Matrices()
