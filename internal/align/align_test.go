@@ -52,6 +52,12 @@ func bruteForce(x, y []float64, p Params) float64 {
 	return rec(0, 0, moveNone)
 }
 
+// engines are the two solvers every oracle test runs.
+var engines = []struct {
+	name  string
+	solve func(x, y []float64, p Params) (float64, error)
+}{{"Sequential", Sequential}, {"Reference", Reference}}
+
 func randSeries(rng *rand.Rand, n int) []float64 {
 	s := make([]float64, n)
 	for i := range s {
@@ -66,14 +72,16 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 		x := randSeries(rng, rng.Intn(6))
 		y := randSeries(rng, rng.Intn(6))
 		p := Params{Open: float64(rng.Intn(5)), Ext: float64(1 + rng.Intn(3))}
-		got, err := Sequential(x, y, p)
-		if err != nil {
-			t.Fatalf("Sequential: %v", err)
-		}
 		want := bruteForce(x, y, p)
-		if got != want {
-			t.Fatalf("trial %d: |x|=%d |y|=%d %+v: Sequential %v, brute force %v",
-				trial, len(x), len(y), p, got, want)
+		for _, e := range engines {
+			got, err := e.solve(x, y, p)
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			if got != want {
+				t.Fatalf("trial %d: |x|=%d |y|=%d %+v: %s %v, brute force %v",
+					trial, len(x), len(y), p, e.name, got, want)
+			}
 		}
 	}
 }
@@ -111,7 +119,7 @@ func fullGotoh(x, y []float64, p Params) float64 {
 
 func TestSequentialMatchesFullTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	shapes := [][2]int{{0, 40}, {40, 0}, {1, 40}, {40, 1}, {3, 300}, {37, 41}}
+	shapes := [][2]int{{0, 40}, {40, 0}, {1, 40}, {40, 1}, {3, 300}, {300, 3}, {37, 41}, {42, 41}}
 	for _, sh := range shapes {
 		// Non-integer samples and penalties, so any change in the order
 		// of a sum would show in the last bit.
@@ -122,29 +130,113 @@ func TestSequentialMatchesFullTable(t *testing.T) {
 			}
 		}
 		p := Params{Open: rng.Float64() * 5, Ext: rng.Float64() * 2}
-		got, err := Sequential(x, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fullGotoh(x, y, p); got != want {
-			t.Errorf("%dx%d %+v: Sequential %v, full table %v", sh[0], sh[1], p, got, want)
+		want := fullGotoh(x, y, p)
+		for _, e := range engines {
+			got, err := e.solve(x, y, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%dx%d %+v: %s %v, full table %v", sh[0], sh[1], p, e.name, got, want)
+			}
 		}
 	}
 }
 
-// TestSequentialAllocatesTwoRows pins the sweep's storage at two rows of
-// interleaved cells.
-func TestSequentialAllocatesTwoRows(t *testing.T) {
+// TestSequentialMatchesReference diffs the two-row pooled sweep against
+// the three-layer recurrence bit for bit, on fractional samples and
+// penalties, with Open = 0 or Ext = 0 (where the folded gap terms tie)
+// or both -0, every pair of lengths up to 3 (so odd and even row
+// counts, in either orientation) and random lengths up to 29.
+func TestSequentialMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	frac := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.Float64()*20 - 10
+		}
+		return s
+	}
+	params := func(trial int) Params {
+		p := Params{Open: rng.Float64() * 5, Ext: rng.Float64() * 2}
+		switch trial % 4 {
+		case 1:
+			p.Open = 0
+		case 2:
+			p.Ext = 0
+		case 3:
+			p = Params{}
+			if trial%8 == 7 {
+				p = Params{Open: math.Copysign(0, -1), Ext: math.Copysign(0, -1)}
+			}
+		}
+		return p
+	}
+	check := func(x, y []float64, p Params) {
+		t.Helper()
+		got, err := Sequential(x, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Reference(x, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("|x|=%d |y|=%d %+v: Sequential %v, Reference %v\nx=%v\ny=%v",
+				len(x), len(y), p, got, want, x, y)
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		p := params(trial)
+		for n := 0; n <= 3; n++ {
+			for m := 0; m <= 3; m++ {
+				check(frac(n), frac(m), p)
+			}
+		}
+		x, y := frac(rng.Intn(30)), frac(rng.Intn(30))
+		check(x, y, p)
+		// Integer samples tie substitutions and gap runs exactly.
+		check(randSeries(rng, rng.Intn(30)), randSeries(rng, rng.Intn(30)),
+			Params{Open: float64(trial % 3), Ext: float64(trial % 2)})
+	}
+}
+
+// TestSequentialWarmSolveAllocatesNothing pins the pooled row: once a
+// solve has returned its row, the next one of the same width takes it
+// back and allocates nothing.
+func TestSequentialWarmSolveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts randomly under the race detector")
+	}
 	x, y := randSeries(rand.New(rand.NewSource(3)), 37), randSeries(rand.New(rand.NewSource(4)), 41)
 	p := Params{Open: 3, Ext: 1}
+	if _, err := Sequential(x, y, p); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Sequential(x, y, p); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 2 {
-		t.Errorf("%v allocs per solve, want 2", allocs)
+	if allocs != 0 {
+		t.Errorf("%v allocs per warm solve, want 0", allocs)
 	}
+}
+
+// TestSequentialKeepsWideRowsOutOfPool solves the widest lattice the
+// spec's work ceiling admits, 4 × 2^20, whose row is 16 MiB, and checks
+// that the pool did not keep it.
+func TestSequentialKeepsWideRowsOutOfPool(t *testing.T) {
+	x, y := make([]float64, 4), make([]float64, 1<<20)
+	if _, err := Sequential(x, y, Params{Open: 1, Ext: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rp := rowPool.Get().(*[]hx)
+	if c := cap(*rp); c > maxPooledRow+1 {
+		t.Errorf("pool holds a row of %d columns, want at most %d", c, maxPooledRow+1)
+	}
+	rowPool.Put(rp)
 }
 
 func TestEmptySeries(t *testing.T) {
@@ -162,6 +254,9 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
+// TestSymmetry checks Cost(x,y) == Cost(y,x). Sequential runs both
+// orientations down the shorter series, so the transposed lattice goes
+// through Reference.
 func TestSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 100; trial++ {
@@ -169,7 +264,7 @@ func TestSymmetry(t *testing.T) {
 		y := randSeries(rng, rng.Intn(10))
 		p := Params{Open: float64(rng.Intn(5)), Ext: float64(rng.Intn(3))}
 		a, _ := Sequential(x, y, p)
-		b, _ := Sequential(y, x, p)
+		b, _ := Reference(y, x, p)
 		if a != b {
 			t.Fatalf("align(x,y)=%v != align(y,x)=%v", a, b)
 		}

@@ -29,9 +29,8 @@ func (c *checker) checkChainFast(tab *matchain.Table) {
 	}
 }
 
-// checkNonserialFast diffs pooled monomorphized elimination against the
-// reference, with GName set so named cost functions take their
-// inlinable op path.
+// checkNonserialFast diffs pooled elimination against the reference,
+// with GName set so named cost functions take their op path.
 func (c *checker) checkNonserialFast(ch *nonserial.Chain3, name string, elim float64, steps int) {
 	named := &nonserial.Chain3{Domains: ch.Domains, G: ch.G, GName: name}
 	cost, fsteps, err := nonserial.EliminateFast(named)

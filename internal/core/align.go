@@ -7,19 +7,20 @@ import (
 )
 
 // AlignProblem is affine-gap sequence alignment (Needleman–Wunsch–
-// Gotoh): a 2-D monadic-serial lattice like DTW, but with the
-// three-layer affine-gap state swept along anti-diagonals. Empty series
-// are legal (all-gap alignments).
+// Gotoh): a 2-D monadic-serial lattice like DTW, but with a
+// three-layer affine-gap state, swept two rows at a time by
+// align.Sequential. Empty series are legal (all-gap alignments).
 type AlignProblem struct {
 	X, Y   []float64
 	Params align.Params
 }
 
 // Classify reports monadic-serial: each lattice cell is a monadic
-// recurrence over its three neighbours, swept serially by anti-diagonals.
+// recurrence over its three neighbours, swept serially by rows.
 func (p *AlignProblem) Classify() Class { return Class{Monadic, Serial} }
 
-// Describe names the problem.
+// Describe names the problem. Every align response carries this text,
+// so it keeps naming the anti-diagonal array the lattice maps onto.
 func (p *AlignProblem) Describe() string {
 	return fmt.Sprintf("affine-gap alignment (|x|=%d, |y|=%d, open=%g, ext=%g), anti-diagonal array",
 		len(p.X), len(p.Y), p.Params.Open, p.Params.Ext)

@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"systolicdp/internal/multistage"
-	"systolicdp/internal/semiring"
 )
 
 // NodeValuedProblem is a monadic-serial problem in the node-valued form of
-// equation (4), Design 3's input. Solve serves it with NodeValued.SolvePath,
-// which evaluates the array's h + f terms with its strict-< tie rule and
-// so returns the array's cost and path bit for bit on finite sums.
+// equation (4), Design 3's input. Solve serves it with
+// NodeValued.SolveMinPlus, the pooled form of SolvePath, which evaluates
+// the array's h + f terms with its strict-< tie rule and so returns the
+// array's cost and path bit for bit on finite sums.
 type NodeValuedProblem struct {
 	Problem *multistage.NodeValued
 }
@@ -38,6 +38,6 @@ func (p *NodeValuedProblem) solve() (*Solution, error) {
 	if err := p.Problem.Validate(); err != nil {
 		return nil, err
 	}
-	path := p.Problem.SolvePath(semiring.MinPlus{})
+	path := p.Problem.SolveMinPlus()
 	return &Solution{Cost: path.Cost, Path: path.Nodes}, nil
 }

@@ -15,8 +15,8 @@ package matchain
 // pins this per cell.
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -89,25 +89,40 @@ func DPFlat(dims []int) (*Flat, error) {
 func (f *Flat) OptimalCost() float64 { return f.Cost[f.N-1] }
 
 // Parenthesization renders the optimal order exactly like
-// Table.Parenthesization, e.g. "((M1 M2)(M3 M4))".
+// Table.Parenthesization, e.g. "((M1 M2)(M3 M4))", into one buffer
+// sized up front.
 func (f *Flat) Parenthesization() string {
-	n := f.N
 	var b strings.Builder
-	var rec func(i, j int)
-	rec = func(i, j int) {
-		if i == j {
-			fmt.Fprintf(&b, "M%d", i+1)
-			return
-		}
-		k := f.Split[i*n+j]
-		b.WriteByte('(')
-		rec(i, k)
-		b.WriteByte(' ')
-		rec(k+1, j)
-		b.WriteByte(')')
-	}
-	rec(0, n-1)
+	b.Grow(parenLen(f.N))
+	f.writeOrder(&b, 0, f.N-1)
 	return b.String()
+}
+
+// parenLen is the length of an n-matrix parenthesization: an "M" and
+// its index per leaf, and "(", " " and ")" per product.
+func parenLen(n int) int {
+	size := n + 3*(n-1)
+	// Every index from p up has a digit in p's place.
+	for p := 1; p <= n; p *= 10 {
+		size += n - p + 1
+	}
+	return size
+}
+
+// writeOrder writes the order of matrices i..j.
+func (f *Flat) writeOrder(b *strings.Builder, i, j int) {
+	if i == j {
+		var digits [20]byte
+		b.WriteByte('M')
+		b.Write(strconv.AppendInt(digits[:0], int64(i+1), 10))
+		return
+	}
+	k := f.Split[i*f.N+j]
+	b.WriteByte('(')
+	f.writeOrder(b, i, k)
+	b.WriteByte(' ')
+	f.writeOrder(b, k+1, j)
+	b.WriteByte(')')
 }
 
 var flatPool = sync.Pool{New: func() any { return new(Flat) }}

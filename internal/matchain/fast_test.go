@@ -1,6 +1,7 @@
 package matchain
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -110,5 +111,74 @@ func BenchmarkChainFlat24(b *testing.B) {
 		if err := f.Solve(dims); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFlatParenthesizationMatchesTable diffs the flat table's rendering
+// against the table DP's on random chains of up to 200 matrices, past
+// the one-, two- and three-digit index boundaries, and checks that the
+// buffer was sized to the string exactly.
+func TestFlatParenthesizationMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 500; trial++ {
+		dims := randDims(rng, 1+rng.Intn(200))
+		want, err := DP(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DPFlat(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.Parenthesization(), want.Parenthesization()
+		if g != w {
+			t.Fatalf("n=%d: %q != %q", len(dims)-1, g, w)
+		}
+		if len(g) != parenLen(len(dims)-1) {
+			t.Fatalf("n=%d: %d bytes, sized for %d", len(dims)-1, len(g), parenLen(len(dims)-1))
+		}
+	}
+}
+
+// TestSolveFastAllocatesString pins a warm SolveFast at one allocation,
+// the returned string, whose buffer Parenthesization sizes up front.
+func TestSolveFastAllocatesString(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts randomly under the race detector")
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, n := range []int{1, 8, 9, 10, 99, 100, 120} {
+		dims := randDims(rng, n)
+		if _, _, err := SolveFast(dims); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := SolveFast(dims); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("n=%d: %v allocs per warm SolveFast, want 1 (the string)", n, allocs)
+		}
+	}
+}
+
+var parenSink string
+
+// BenchmarkSolveFast times the served chain kernel, table and string,
+// at mix-small's chain lengths (8, 24) and a compute-large one (120).
+func BenchmarkSolveFast(b *testing.B) {
+	for _, n := range []int{8, 24, 120} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			dims := randDims(rand.New(rand.NewSource(25)), n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, paren, err := SolveFast(dims)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parenSink = paren
+			}
+		})
 	}
 }

@@ -1,12 +1,17 @@
 package nonserial
 
-// The zero-allocation monomorphized elimination kernel. Eliminate's hot
-// loop pays three costs the paper's fixed-function cells don't: a func
-// call per step for G, one allocation per h-table row per eliminated
-// variable, and [][] indirection per cell. EliminateFast closes all
-// three: the ternary cost is a generic value-type Ternary op so named
-// costs inline, and the h-tables are two flat ping-pong buffers drawn
-// from a pooled workspace.
+// The zero-allocation elimination kernel. Eliminate's hot loop pays
+// three costs the paper's fixed-function cells don't: a func call per
+// step for G, one allocation per h-table row per eliminated variable,
+// and [][] indirection per cell. EliminateFast closes the last two: the
+// h-tables are two flat ping-pong buffers drawn from a pooled
+// workspace. The first stays. The ternary cost is a generic value-type
+// Ternary op, but Go compiles one body per GC shape, DefaultOp and
+// SpanOp share the shape struct{}, and that body calls At through its
+// dictionary: one indirect call per step, as `go tool objdump` shows on
+// Go 1.24. An op type of its own shape gets a body of its own but keeps
+// the dictionary call, so an inline cost needs a loop written per cost,
+// as multistage.NodeValued.SolveMinPlus has.
 //
 // Every step evaluates EXACTLY Eliminate's float64 expression
 // h[a][b] + G(v_a, v_b, v_c) with the same strict-< minimization in the
@@ -20,27 +25,26 @@ import (
 	"systolicdp/internal/arena"
 )
 
-// Ternary is the monomorphizable ternary-cost constraint: implemented by
-// zero-size op structs so the generic kernel inlines the per-step call.
+// Ternary is the ternary-cost constraint of the generic kernel, which
+// calls At through its dictionary (see the file comment).
 type Ternary interface {
 	At(a, b, c float64) float64
 }
 
-// DefaultOp is DefaultG as an inlinable value type.
+// DefaultOp is DefaultG as a value type.
 type DefaultOp struct{}
 
 // At returns |a-b| + |b-c| + |a-c|/2.
 func (DefaultOp) At(a, b, c float64) float64 { return DefaultG(a, b, c) }
 
-// SpanOp is SpanG as an inlinable value type.
+// SpanOp is SpanG as a value type.
 type SpanOp struct{}
 
 // At returns max(a,b,c) - min(a,b,c).
 func (SpanOp) At(a, b, c float64) float64 { return SpanG(a, b, c) }
 
 // FuncOp adapts an arbitrary ternary cost to the Ternary constraint —
-// the fallback for unnamed costs; it keeps one indirect call per step,
-// exactly the old cost.
+// the fallback for unnamed costs; it calls F once more, inside At.
 type FuncOp struct{ F func(a, b, c float64) float64 }
 
 // At calls the wrapped function.
@@ -51,10 +55,10 @@ type elimWS struct{ h, nh []float64 }
 
 var elimPool = sync.Pool{New: func() any { return new(elimWS) }}
 
-// EliminateFast is Eliminate on the monomorphized kernel: it dispatches
-// on GName to an inlinable op (falling back to calling G through FuncOp
-// when the name is unknown or empty) and runs the elimination on pooled
-// flat tables. Bitwise identical to Eliminate in both cost and steps.
+// EliminateFast is Eliminate on pooled flat tables: it dispatches on
+// GName to the named op (falling back to calling G through FuncOp when
+// the name is unknown or empty). Bitwise identical to Eliminate in both
+// cost and steps.
 func EliminateFast(c *Chain3) (cost float64, steps int, err error) {
 	if err := c.Validate(); err != nil {
 		return 0, 0, err

@@ -176,8 +176,8 @@ func (p *Problem) Eval(idx []int) float64 {
 type Chain3 struct {
 	Domains [][]float64
 	G       func(a, b, c float64) float64
-	// GName optionally names G so the monomorphized kernel (EliminateFast)
-	// can dispatch to an inlinable op: GNameDefault and GNameSpan promise
+	// GName optionally names G so the pooled kernel (EliminateFast) can
+	// dispatch to the named op: GNameDefault and GNameSpan promise
 	// G is DefaultG / SpanG respectively; any other value (including "")
 	// means "call G through its func value". Setters of G are responsible
 	// for keeping the promise — the constructors here and the spec parser
@@ -417,7 +417,7 @@ func RandomUniformChain3(rng *rand.Rand, n, m int, lo, hi float64) *Chain3 {
 }
 
 // Names of the built-in ternary costs, used as Chain3.GName values so
-// EliminateFast can pick the matching inlinable op.
+// EliminateFast can pick the matching op.
 const (
 	GNameDefault = "default"
 	GNameSpan    = "span"
