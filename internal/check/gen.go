@@ -226,7 +226,7 @@ func genNodeValued(rng *rand.Rand, cfg GenConfig) *Instance {
 		m = 1
 	}
 	ragged := rng.Intn(4) == 0
-	names := sortedNames(spec.PairCosts())
+	names := sortedNames(multistage.PairCosts())
 	name := names[rng.Intn(len(names))]
 	// Keep values small: quadratic squares them and rise multiplies by 5;
 	// small integers keep every engine sum exact.

@@ -50,7 +50,7 @@ func TestParseNodeValued(t *testing.T) {
 }
 
 func TestParseNodeValuedDefaultsAndNamedCosts(t *testing.T) {
-	for name := range PairCosts() {
+	for name := range multistage.PairCosts() {
 		data := []byte(`{"problem":"nodevalued","values":[[1,2],[3,4]],"cost":"` + name + `"}`)
 		if _, err := Parse(data); err != nil {
 			t.Errorf("cost %q rejected: %v", name, err)
